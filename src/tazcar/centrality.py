@@ -11,12 +11,14 @@ star, so a star graph scores exactly 1.
 
 from __future__ import annotations
 
-import heapq
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from .errors import ConnectivityWarning, DomainError, ValidationError
 
@@ -26,6 +28,12 @@ _METRICS = (HOP_COUNT, EDGE_LENGTH)
 
 # Relative tolerance for shortest-path ties under the edge_length metric.
 _TIE_RTOL = 1e-12
+
+# Sources per vectorised Brandes block, and the entries of the neighbour table
+# (sources x steps x max degree) built at a time: a block holds about
+# 8 * _BLOCK * N + 10 * _TABLE numbers, or one step's table if that is larger.
+_BLOCK = 64
+_TABLE = 1 << 13
 
 
 class Pattern(str, Enum):
@@ -50,6 +58,10 @@ PATTERN_BOUNDS = (
 )
 
 
+def _valid_length(length: float) -> bool:
+    return math.isfinite(length) and length > 0
+
+
 @dataclass(frozen=True)
 class RoadGraph:
     """Undirected road network: nodes are junctions, edges are road links.
@@ -59,7 +71,7 @@ class RoadGraph:
     node_count : int
         Number of nodes; ids are 0-based integers below this.
     edges : list of (u, v) or (u, v, length_km)
-        Undirected edges.  Lengths, when given, must be positive.
+        Undirected edges.  Lengths, when given, must be finite and positive.
     """
 
     node_count: int
@@ -85,8 +97,8 @@ class RoadGraph:
                     raise ValidationError(
                         f"node id {node} out of range [0, {self.node_count}) in edge {e!r}"
                     )
-            if length is not None and not length > 0:
-                raise ValidationError(f"non-positive length in edge {e!r}")
+            if length is not None and not _valid_length(length):
+                raise ValidationError(f"length must be finite and positive in edge {e!r}")
             key = (min(u, v), max(u, v))
             if key in seen:
                 raise ValidationError(f"duplicate undirected edge {key} in edge {e!r}")
@@ -139,61 +151,61 @@ def _check_metric(metric: str) -> None:
         raise ValidationError(f"unknown metric {metric!r}; expected one of {_METRICS}")
 
 
+def _dag_table(dist, nbr, weight, deg, steps, forward):
+    """(step, source, slot) state ids of each step's DAG predecessors (forward) or successors."""
+    rows = np.arange(len(steps))[:, None] * dist.shape[1]
+    slots = steps[:, :, None] * nbr.shape[1] + np.arange(deg[steps].max())
+    ids = nbr.take(slots) + rows[:, :, None]
+    here, there = dist.take(steps + rows)[:, :, None], dist.take(ids)
+    near, far = (there, here) if forward else (here, there)
+    with np.errstate(invalid="ignore"):  # inf - inf between unreached nodes
+        on_dag = (near < far) & (np.abs(near + weight.take(slots) - far)
+                                 <= _TIE_RTOL * np.maximum(far, 1.0))
+    ids[~on_dag] = dist.size
+    return ids.transpose(1, 0, 2)
+
+
 def _raw_betweenness(graph: RoadGraph, metric: str) -> np.ndarray:
-    """Ordered-pair betweenness by Brandes accumulation (BFS or Dijkstra)."""
+    """Ordered-pair betweenness by Brandes accumulation for a block of sources
+    at once (Kepner & Gilbert's linear-algebra form).  Edge u -> v is on the
+    shortest-path DAG of s when D[s,u] < D[s,v] and |D[s,u] + w - D[s,v]| <=
+    _TIE_RTOL * max(1, D[s,v]); each source's nodes are visited in distance
+    order, forward for path counts sigma and backward for dependencies."""
     n = graph.node_count
-    adj = graph.neighbors(metric)
     raw = np.zeros(n)
-    for s in range(n):
-        # Single-source shortest paths with path counts and predecessors.
-        sigma = np.zeros(n)
-        sigma[s] = 1.0
-        dist = np.full(n, np.inf)
-        dist[s] = 0.0
-        preds = [[] for _ in range(n)]
-        order = []
-        if metric == HOP_COUNT:
-            queue = [s]
-            head = 0
-            while head < len(queue):
-                u = queue[head]
-                head += 1
-                order.append(u)
-                du = dist[u]
-                for v, _ in adj[u]:
-                    if dist[v] == np.inf:
-                        dist[v] = du + 1
-                        queue.append(v)
-                    if dist[v] == du + 1:
-                        sigma[v] += sigma[u]
-                        preds[v].append(u)
-        else:
-            done = np.zeros(n, dtype=bool)
-            heap = [(0.0, s)]
-            while heap:
-                du, u = heapq.heappop(heap)
-                if done[u]:
-                    continue
-                done[u] = True
-                order.append(u)
-                for v, w in adj[u]:
-                    alt = du + w
-                    tol = _TIE_RTOL * max(1.0, abs(dist[v]) if dist[v] < np.inf else abs(alt))
-                    if alt < dist[v] - tol:
-                        dist[v] = alt
-                        sigma[v] = sigma[u]
-                        preds[v] = [u]
-                        heapq.heappush(heap, (alt, v))
-                    elif abs(alt - dist[v]) <= tol and not done[v]:
-                        sigma[v] += sigma[u]
-                        preds[v].append(u)
-        # Dependency accumulation in reverse finish order.
-        delta = np.zeros(n)
-        for w in reversed(order):
-            for v in preds[w]:
-                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-            if w != s:
-                raw[w] += delta[w]
+    if not graph.edges:
+        return raw
+    u, v, length = zip(*graph.edges)
+    length = np.array([1.0 if metric == HOP_COUNT or w is None else w for w in length] * 2)
+    tail, head = np.array(u + v), np.array(v + u)
+    dist_graph = csr_matrix((length, (tail, head)), shape=(n, n))
+    # Row x of nbr and weight: x's neighbours and edge lengths, padded with NaN lengths.
+    deg = np.bincount(head, minlength=n)
+    by_head = np.argsort(head, kind="stable")
+    at = head[by_head], np.arange(len(head)) - np.repeat(np.cumsum(deg) - deg, deg)
+    nbr, weight = np.zeros((n, deg.max()), dtype=int), np.full((n, deg.max()), np.nan)
+    nbr[at], weight[at] = tail[by_head], length[by_head]
+    chunk = max(1, _TABLE // (min(n, _BLOCK) * deg.max()))
+    spans = [slice(lo, lo + chunk) for lo in range(1, n, chunk)]
+    for start in range(0, n, _BLOCK):
+        sources = np.arange(start, min(start + _BLOCK, n))
+        dist = shortest_path(dist_graph, unweighted=metric == HOP_COUNT, indices=sources)
+        order = np.argsort(dist, axis=1, kind="stable")
+        flat = order + n * np.arange(len(sources))[:, None]
+        sigma = np.zeros(dist.size + 1)  # the last entry is the zero slot
+        sigma[flat[:, 0]] = 1.0
+        for s in spans:
+            table = _dag_table(dist, nbr, weight, deg, order[:, s], forward=True)
+            for x, pred in zip(flat[:, s].T, table):
+                sigma[x] = np.add.reduce(sigma.take(pred), axis=1)
+        inv = (1.0 / np.maximum(sigma, 1.0))[flat]  # unreached nodes have sigma 0
+        acc, coef = np.zeros_like(sigma), np.zeros_like(sigma)  # delta/sigma, (1+delta)/sigma
+        for s in reversed(spans):
+            table = _dag_table(dist, nbr, weight, deg, order[:, s], forward=False)
+            for x, succ, inv_x in zip(flat[:, s].T[::-1], table[::-1], inv[:, s].T[::-1]):
+                acc[x] = a = np.add.reduce(coef.take(succ), axis=1)
+                coef[x] = inv_x + a
+        raw += (sigma * acc)[:-1].reshape(dist.shape).sum(axis=0)
     return raw
 
 
@@ -230,15 +242,22 @@ def graph_centralization(graph: RoadGraph, metric: str = HOP_COUNT,
     caps the star at 1/((N-1)(N-2)); it exists for comparison only.
     """
     _check_metric(metric)
+    _check_variant(variant)
+    if graph.node_count < 3:
+        raise DomainError("centralization undefined for graphs with fewer than 3 nodes")
+    return _centralization(_raw_betweenness(graph, metric), variant)
+
+
+def _check_variant(variant: str) -> None:
     if variant not in ("unnormalized", "paper_literal"):
         raise ValidationError(f"unknown centralization variant {variant!r}")
-    n = graph.node_count
-    if n < 3:
-        raise DomainError("centralization undefined for graphs with fewer than 3 nodes")
-    scores = _raw_betweenness(graph, metric)
+
+
+def _centralization(raw: np.ndarray, variant: str) -> float:
+    n = len(raw)
     if variant == "paper_literal":
-        scores = scores / ((n - 1) * (n - 2))
-    return float((scores.max() - scores).sum() / centralization_denominator(n))
+        raw = raw / ((n - 1) * (n - 2))
+    return float((raw.max() - raw).sum() / centralization_denominator(n))
 
 
 def classify_pattern(centralization: float) -> Pattern:
@@ -263,22 +282,22 @@ def adjacency_matrix(graph: RoadGraph) -> np.ndarray:
 def analyze(graph: RoadGraph, metric: str = HOP_COUNT,
             variant: str = "unnormalized") -> CentralityResult:
     """Node scores, centralization, and pattern class in one pass."""
-    if graph.node_count < 3:
+    n = graph.node_count
+    if n < 3:
         raise DomainError("centralization undefined for graphs with fewer than 3 nodes")
+    _check_metric(metric)
+    _check_variant(variant)
+    raw = _raw_betweenness(graph, metric)
     connected = graph.is_connected()
-    notes = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConnectivityWarning)
-        scores = node_betweenness(graph, metric)
-    if not connected:
-        notes.append("graph is disconnected; unreachable pairs contributed zero")
-    centralization = graph_centralization(graph, metric, variant)
+    notes = [] if connected else ["graph is disconnected; unreachable pairs contributed zero"]
+    centralization = _centralization(raw, variant)
     if variant == "paper_literal":
         pattern = Pattern.UNCLASSIFIABLE
         notes.append("pattern intervals are defined for the unnormalized variant only")
     else:
         pattern = classify_pattern(centralization)
-    return CentralityResult(node_scores=scores, graph_centralization=centralization,
+    return CentralityResult(node_scores=raw / ((n - 1) * (n - 2)),
+                            graph_centralization=centralization,
                             pattern=pattern, connected=connected, warnings=notes)
 
 
@@ -317,7 +336,10 @@ def read_edge_list(path) -> RoadGraph:
                 try:
                     length = float(parts[2])
                 except ValueError:
-                    raise ValidationError(f"{path}:{lineno}: bad length {parts[2]!r}") from None
+                    length = math.nan
+                if not _valid_length(length):
+                    raise ValidationError(f"{path}:{lineno}: length must be a finite positive "
+                                          f"number, got {parts[2]!r}")
             edges.append((u, v) if length is None else (u, v, length))
             max_id = max(max_id, u, v)
     if node_count is None:

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .centrality import Pattern, RoadGraph, analyze
+from .centrality import Pattern, RoadGraph, classify_pattern, graph_centralization
 from .errors import DataWarning, DomainError, ValidationError
 
 # "Signal spacing" in some source tables is signals per km, i.e. a density;
@@ -213,7 +213,7 @@ def resolve_pattern(record: ZoneRecord, graph: RoadGraph = None) -> Pattern:
     a mismatch against the attached graph emits a warning."""
     if graph is None:
         return record.pattern
-    computed = analyze(graph).pattern
+    computed = classify_pattern(graph_centralization(graph))
     if record.pattern == Pattern.UNCLASSIFIABLE:
         return computed
     if computed != record.pattern:

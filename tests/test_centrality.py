@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from tazcar import centrality
 from tazcar.centrality import (
     Pattern,
     RoadGraph,
@@ -18,17 +21,34 @@ from tazcar.errors import ConnectivityWarning, DomainError, ValidationError
 
 from oracles import brute_force_betweenness, brute_force_centralization, random_connected_graph
 
-
-def star(n):
-    return RoadGraph(n, tuple((0, i) for i in range(1, n)))
+METRICS = ("hop_count", "edge_length")
 
 
-def cycle(n):
-    return RoadGraph(n, tuple((i, (i + 1) % n) for i in range(n)))
+def star(n, length=None):
+    return RoadGraph(n, tuple((0, i) if length is None else (0, i, length) for i in range(1, n)))
+
+
+def cycle(n, length=None):
+    return RoadGraph(n, tuple((i, (i + 1) % n) if length is None else (i, (i + 1) % n, length)
+                              for i in range(n)))
 
 
 def path(n):
     return RoadGraph(n, tuple((i, i + 1) for i in range(n - 1)))
+
+
+@st.composite
+def split_graphs(draw):
+    """Graphs of 3-7 nodes whose edges stay inside up to three node groups,
+    so most draws have several components or isolated nodes; lengths come
+    from {0.25, 0.5, 0.75}, so edge_length paths tie."""
+    n = draw(st.integers(3, 7))
+    group = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    pairs = [(i, j) for i, j in itertools.combinations(range(n), 2) if group[i] == group[j]]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    lengths = draw(st.lists(st.sampled_from((0.25, 0.5, 0.75)),
+                            min_size=len(pairs), max_size=len(pairs)))
+    return RoadGraph(n, tuple((i, j, w) for (i, j), k, w in zip(pairs, keep, lengths) if k))
 
 
 def complete(n):
@@ -51,6 +71,11 @@ class TestValidation:
     def test_nonpositive_length_rejected(self):
         with pytest.raises(ValidationError, match="length"):
             RoadGraph(3, ((0, 1, 0.0),))
+
+    @pytest.mark.parametrize("length", [float("inf"), float("nan"), -float("inf")])
+    def test_non_finite_length_rejected(self, length):
+        with pytest.raises(ValidationError, match="finite"):
+            RoadGraph(4, ((0, 1, 1.0), (1, 2, length), (2, 3, 1.0)))
 
     def test_unknown_metric(self):
         with pytest.raises(ValidationError, match="metric"):
@@ -108,6 +133,27 @@ class TestNodeBetweenness:
             np.testing.assert_allclose(node_betweenness(g, "edge_length"),
                                        brute_force_betweenness(g, "edge_length"), atol=1e-9)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(split_graphs(), st.sampled_from(METRICS))
+    def test_oracle_agreement_disconnected_with_ties(self, g, metric):
+        result = analyze(g, metric)
+        np.testing.assert_allclose(result.node_scores, brute_force_betweenness(g, metric),
+                                   atol=1e-9)
+        assert result.graph_centralization == pytest.approx(
+            brute_force_centralization(g, metric), abs=1e-9)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_long_path_closed_form(self, metric):
+        # Deep shortest-path DAGs: node i of an n-path lies on 2 i (n-1-i) ordered pairs.
+        n = 400
+        rng = np.random.default_rng(400)
+        g = RoadGraph(n, tuple((i, i + 1, float(rng.choice([0.25, 0.5, 1.75])))
+                               for i in range(n - 1)))
+        i = np.arange(n)
+        np.testing.assert_allclose(node_betweenness(g, metric),
+                                   2 * i * (n - 1 - i) / ((n - 1) * (n - 2)), rtol=1e-12)
+
     def test_scores_bounded(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
@@ -118,12 +164,14 @@ class TestNodeBetweenness:
 
 class TestGraphCentralization:
     def test_star_is_one(self):
-        for n in (4, 5, 7):
-            assert graph_centralization(star(n)) == pytest.approx(1.0)
+        for metric in METRICS:
+            for n in range(3, 61):
+                assert graph_centralization(star(n, 0.25), metric) == 1.0, (metric, n)
 
     def test_cycles_and_complete_are_zero(self):
-        for n in (3, 4, 5, 6):
-            assert graph_centralization(cycle(n)) == 0.0
+        for metric in METRICS:
+            for n in range(3, 61):
+                assert graph_centralization(cycle(n, 0.25), metric) == 0.0, (metric, n)
         assert graph_centralization(complete(4)) == 0.0
 
     def test_denominator_identity(self):
@@ -221,6 +269,14 @@ class TestAnalyze:
         with pytest.raises(DomainError):
             analyze(RoadGraph(2, ((0, 1),)))
 
+    def test_one_brandes_pass(self, monkeypatch):
+        calls = []
+        inner = centrality._raw_betweenness
+        monkeypatch.setattr(centrality, "_raw_betweenness",
+                            lambda graph, metric: calls.append(metric) or inner(graph, metric))
+        analyze(star(6), "edge_length")
+        assert calls == ["edge_length"]
+
 
 class TestEdgeListFormat:
     def test_round_trip(self, tmp_path):
@@ -247,4 +303,11 @@ class TestEdgeListFormat:
         p = tmp_path / "net.edges"
         p.write_text("0 1\nnot an edge line at all\n")
         with pytest.raises(ValidationError, match=":2:"):
+            read_edge_list(p)
+
+    @pytest.mark.parametrize("text", ["inf", "nan", "-0.5", "0", "1e400"])
+    def test_bad_length_reports_lineno(self, tmp_path, text):
+        p = tmp_path / "net.edges"
+        p.write_text(f"0 1 1.0\n1 2 {text}\n2 3 1.0\n")
+        with pytest.raises(ValidationError, match=r"net\.edges:2: length must be a finite"):
             read_edge_list(p)

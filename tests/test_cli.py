@@ -69,6 +69,16 @@ class TestCentralityCommand:
         assert result.exit_code == 2
         assert ":2:" in result.output
 
+    @pytest.mark.parametrize("length", ["inf", "nan"])
+    def test_non_finite_length_exit_2(self, runner, tmp_path, length):
+        p = tmp_path / "bad.edges"
+        p.write_text(f"0 1 1.0\n1 2 {length}\n2 3 1.0\n")
+        result = runner.invoke(main, ["centrality", "--graph", str(p),
+                                      "--metric", "edge_length"])
+        assert result.exit_code == 2
+        assert "bad.edges:2: length must be a finite positive number" in result.output
+        assert isinstance(result.exception, SystemExit)
+
     def test_too_small_graph_exit_3(self, runner, tmp_path):
         p = tmp_path / "tiny.edges"
         p.write_text("0 1\n")

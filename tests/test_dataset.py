@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tazcar import centrality
 from tazcar.centrality import Pattern, RoadGraph
 from tazcar.dataset import (
     DATASET_COLUMNS,
@@ -182,6 +183,16 @@ class TestResolvePattern:
 
     def test_no_graph_keeps_value(self):
         assert resolve_pattern(make_record(pattern=Pattern.MIXED)) == Pattern.MIXED
+
+    def test_one_brandes_pass(self, monkeypatch):
+        calls = []
+        inner = centrality._raw_betweenness
+        monkeypatch.setattr(centrality, "_raw_betweenness",
+                            lambda graph, metric: calls.append(metric) or inner(graph, metric))
+        star = RoadGraph(6, tuple((0, i) for i in range(1, 6)))
+        record = make_record(pattern=Pattern.UNCLASSIFIABLE)
+        assert resolve_pattern(record, star) == Pattern.LOLLIPOPS
+        assert calls == ["hop_count"]
 
 
 class TestSummarize:
