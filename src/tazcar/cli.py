@@ -1,8 +1,7 @@
 """Command-line front end: centrality, weights, fit, simulate, recover, compare.
 
 Exit codes: 0 success, 2 input error, 3 domain error, 4 non-convergence.
-Every command is deterministic given --seed; fit and recover honor the
-TAZCAR_THREADS environment variable for chain parallelism.
+Every command is deterministic given --seed.
 """
 
 from __future__ import annotations
@@ -138,7 +137,7 @@ def weights(topology_path, mode, out_path, dense):
 @click.option("--thin", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--threads", type=int, default=None,
-              help="Chain thread count; defaults to TAZCAR_THREADS or 1.")
+              help="Accepted for compatibility; chains share one batched sampler.")
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Write the posterior report JSON here.")
 def fit_cmd(data_path, weights_path, spec_path, chains, burnin, iters, thin,
@@ -213,7 +212,8 @@ def simulate(lattice_m, seed, truth_path, phi_mode, out_path, truth_out, topolog
 @click.option("--burnin", type=int, default=5000, show_default=True)
 @click.option("--iters", type=int, default=10000, show_default=True)
 @click.option("--chains", type=int, default=2, show_default=True)
-@click.option("--threads", type=int, default=None)
+@click.option("--threads", type=int, default=None,
+              help="Accepted for compatibility; chains share one batched sampler.")
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Write the coverage summary JSON here.")
 def recover(truth_path, reps, lattice_m, seed, burnin, iters, chains, threads, out_path):

@@ -8,18 +8,20 @@ conjugate draws for sigma_theta^2 (inverse-gamma) and tau_c (gamma), and
 finally a re-centering of phi with the intercept absorbing the removed
 mean.  Proposal scales adapt toward 0.44 acceptance during burn-in only.
 
+Chains run together in one batched sampler: their states are the rows of
+(chains x zones) arrays, so one numpy call serves every chain.
+
 Determinism: every chain owns a PCG64 generator spawned from the config
-seed, and random numbers are consumed in fixed-size blocks each sweep so
-results are bit-identical across runs and thread counts.
+seed, random numbers are consumed in fixed-size blocks each sweep, and
+each chain's arithmetic reads only its own rows, so results are
+bit-identical across runs and whatever chains share the batch.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,8 +39,6 @@ from .model import (
 
 _ADAPT_BATCH = 50
 _PSI_REFRESH = 200
-
-THREADS_ENV_VAR = "TAZCAR_THREADS"
 
 
 @dataclass(frozen=True)
@@ -300,24 +300,75 @@ def _prepare_spatial(W, n):
     return {
         "wplus": wplus,
         "ei": ei, "ej": ej, "ew": ew,
-        "csr": csr,
         "active": active,
         "islands": int(np.count_nonzero(~active)),
         "component_count": W.component_count,
         "comp_members": comp_members,
-        "classes": _greedy_coloring(n, ei, ej, active),
+        "classes": [(members, *_padded_neighbors(csr, members))
+                    for members in _greedy_coloring(n, ei, ej, active)],
         # Intercept absorption of the removed phi mean is an exact identity
         # only with a single non-island component and no islands.
         "exact_recenter": len(comp_members) == 1 and not np.count_nonzero(~active),
     }
 
 
-def _run_chain(chain_id, seed_seq, y, Xc, offset, spatial, spec, config,
-               beta_init_center, beta_se, debug):
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
-    n, p = Xc.shape
-    y = y.astype(float)
-    lgamma_const = float(np.sum(gammaln(y + 1.0)))
+def _padded_neighbors(csr, members):
+    """Neighbour ids and weights of the members, one column per member,
+    padded with weight 0: shapes (max degree, len(members))."""
+    rows = csr[members]
+    deg = np.diff(rows.indptr)
+    nbr = np.zeros((max(int(deg.max()), 1), len(members)), dtype=int)
+    weight = np.zeros(nbr.shape)
+    owner = np.repeat(np.arange(len(members)), deg)
+    slot = np.arange(rows.nnz) - rows.indptr[owner]
+    nbr[slot, owner] = rows.indices
+    weight[slot, owner] = rows.data
+    return nbr, weight
+
+
+def _center_rows(phi, members, flat):
+    """Subtract from each row of phi its mean over members; return the means.
+    flat holds the members' positions in phi's flattened rows."""
+    vals = phi.take(members, axis=1)
+    mean = np.add.reduce(vals, axis=1) / members.size
+    phi.put(flat, vals - mean[:, None])
+    return mean
+
+
+def _clip(psi):
+    """np.clip(psi, -PSI_CLAMP, PSI_CLAMP) without np.clip's per-call dispatch."""
+    return np.minimum(np.maximum(psi, -PSI_CLAMP), PSI_CLAMP)
+
+
+def _row_sd(v):
+    """Row-wise v.std(ddof=1), bit for bit, without the method's per-call overhead."""
+    n = v.shape[1]
+    dev = v - (np.add.reduce(v, axis=1) / n)[:, None]
+    return np.sqrt(np.add.reduce(dev * dev, axis=1) / (n - 1))
+
+
+def _row_dot(a, b):
+    """Per-row a[k] @ b[k], each the dot product a lone chain takes."""
+    return np.array([float(u @ v) for u, v in zip(a, b)])
+
+
+def _run_chains(seeds, y, Xc, offset, spatial, spec, config, beta_center, beta_se, debug):
+    """Run one chain per seed, all chains advancing together sweep by sweep.
+
+    Chain k samples data set k: counts y[k], centred design Xc[k] (n x p),
+    offset[k] (or offset None), starting around beta_center[k] with spread
+    beta_se[k].  State lives in (K, n) and (K, p) arrays.  Each chain draws
+    from its own PCG64 stream in the order a lone chain would, and every
+    quantity is computed row by row, so a chain's draws do not depend on the
+    chains that run beside it.
+    """
+    rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
+    K = len(rngs)
+    n, p = Xc[0].shape
+    XcT = np.stack([x.T for x in Xc], axis=1)  # (p, K, n): XcT[j] is column j of each design
+    col_reach = np.abs(XcT).max(axis=2)
+    y_x = np.stack([XcT[:, k] @ y[k] for k in range(K)], axis=1)
+    lgamma_const = np.add.reduce(gammaln(y + 1.0), axis=1)
 
     has_theta = spec.include_theta
     has_phi = spec.include_phi and spatial is not None
@@ -327,22 +378,36 @@ def _run_chain(chain_id, seed_seq, y, Xc, offset, spatial, spec, config,
     prior_mean = np.array([spec.prior_for(lbl).mean for lbl in beta_se["labels"]])
     prior_var = np.array([spec.prior_for(lbl).variance for lbl in beta_se["labels"]])
 
-    # Overdispersed start around the maximum-likelihood center.
-    beta = beta_init_center + 2.0 * beta_se["se"] * rng.standard_normal(p)
-    theta = 0.01 * rng.standard_normal(n) if has_theta else np.zeros(n)
+    # Overdispersed starts around the maximum-likelihood centers.
+    beta = np.empty((K, p))
+    theta = np.zeros((K, n))
+    phi = np.zeros((K, n))
+    for k, rng in enumerate(rngs):
+        beta[k] = beta_center[k] + 2.0 * beta_se["se"][k] * rng.standard_normal(p)
+        if has_theta:
+            theta[k] = 0.01 * rng.standard_normal(n)
+        if has_phi:
+            phi[k] = 0.01 * rng.standard_normal(n)
     if has_phi:
-        phi = 0.01 * rng.standard_normal(n)
-        phi[~spatial["active"]] = 0.0
-        for members in spatial["comp_members"]:
-            phi[members] -= phi[members].mean()
-    else:
-        phi = np.zeros(n)
-    sigma2 = spec.fixed_sigma_theta2 if spec.fixed_sigma_theta2 is not None else 0.1
-    tau = spec.fixed_tau_c if spec.fixed_tau_c is not None else 1.0
+        # Gathers use take(axis=1), which keeps rows contiguous, so row sums
+        # add up in the order a lone chain's sums do; scatters put values at
+        # flat positions k * n + i.
+        flat_at = n * np.arange(K)[:, None]
+        components = [(members, (flat_at + members).ravel())
+                      for members in spatial["comp_members"]]
+        # Per coloring class: members, their neighbours, row sums and counts.
+        phi_classes = [(members, (flat_at + members).ravel(), nbr, weight,
+                        spatial["wplus"][members], y.take(members, axis=1))
+                       for members, nbr, weight in spatial["classes"]]
+        phi[:, ~spatial["active"]] = 0.0
+        for members, flat in components:
+            _center_rows(phi, members, flat)
+    sigma2 = np.full(K, spec.fixed_sigma_theta2 if spec.fixed_sigma_theta2 is not None else 0.1)
+    tau = np.full(K, spec.fixed_tau_c if spec.fixed_tau_c is not None else 1.0)
 
-    beta_scale = np.maximum(2.4 * beta_se["se"], 1e-3)
-    theta_scale = np.full(n, 0.5)
-    phi_scale = np.full(n, 0.5)
+    beta_scale = np.maximum(2.4 * np.asarray(beta_se["se"]), 1e-3)
+    theta_scale = np.full((K, n), 0.5)
+    phi_scale = np.full((K, n), 0.5)
 
     if sample_sigma:
         sigma_shape = spec.sigma_theta_prior.shape + n / 2.0
@@ -351,199 +416,231 @@ def _run_chain(chain_id, seed_seq, y, Xc, offset, spatial, spec, config,
                      + (n - spatial["component_count"]) / 2.0)
 
     def fresh_psi():
-        out = Xc @ beta + theta + phi
+        out = np.stack([x @ b for x, b in zip(Xc, beta)]) + theta + phi
         if offset is not None:
             out = out + offset
         return out
 
     psi = fresh_psi()
-    psic = np.clip(psi, -PSI_CLAMP, PSI_CLAMP)
+    psic = _clip(psi)
     lam = np.exp(psic)
 
     total = config.burn_in + config.iters
     kept = len(range(config.burn_in, total, config.thin))
-    draws_beta = np.empty((kept, p))
-    draws_sigma2 = np.empty(kept)
-    draws_tau = np.empty(kept)
-    draws_dev = np.empty(kept)
-    draws_alpha = np.full(kept, np.nan)
-    sum_theta = np.zeros(n)
-    sum_phi = np.zeros(n)
-    sum_lam = np.zeros(n)
+    draws_beta = np.empty((K, kept, p))
+    draws_sigma2 = np.empty((K, kept))
+    draws_tau = np.empty((K, kept))
+    draws_dev = np.empty((K, kept))
+    draws_alpha = np.full((K, kept), np.nan)
+    sum_theta = np.zeros((K, n))
+    sum_phi = np.zeros((K, n))
+    sum_lam = np.zeros((K, n))
 
-    acc_beta = np.zeros(p)
-    acc_theta = np.zeros(n)
-    acc_phi = np.zeros(n)
-    win_beta = np.zeros(p)
-    win_theta = np.zeros(n)
-    win_phi = np.zeros(n)
-    clamp_events = 0
+    acc_beta = np.zeros((K, p))
+    acc_theta = np.zeros((K, n))
+    acc_phi = np.zeros((K, n))
+    # Acceptance counts at the start of the current adaptation batch.
+    batch_start = (acc_beta.copy(), acc_theta.copy(), acc_phi.copy())
+    clamp_events = np.zeros(K, dtype=int)
     adaptation_frozen = False
     kept_idx = 0
+
+    z_beta, u_beta = np.empty((K, p)), np.empty((K, p))
+    z_theta, u_theta = np.empty((K, n)), np.empty((K, n))
+    z_phi, u_phi = np.empty((K, n)), np.empty((K, n))
+    g_sigma, g_tau = np.empty(K), np.empty(K)
 
     for t in range(total):
         in_burn = t < config.burn_in
 
+        # Each chain's random numbers for the sweep, in a lone chain's order.
+        for k, rng in enumerate(rngs):
+            rng.standard_normal(out=z_beta[k])
+            rng.random(out=u_beta[k])
+            if has_theta:
+                rng.standard_normal(out=z_theta[k])
+                rng.random(out=u_theta[k])
+            if has_phi:
+                rng.standard_normal(out=z_phi[k])
+                rng.random(out=u_phi[k])
+            if sample_sigma:
+                g_sigma[k] = rng.standard_gamma(sigma_shape)
+            if sample_tau:
+                g_tau[k] = rng.standard_gamma(tau_shape)
+
         # --- regression coefficients: scalar random walks ---
-        z = rng.standard_normal(p)
-        logu = np.log(rng.random(p))
+        # A coefficient's proposal, prior ratio and shift of psi do not depend
+        # on the moves before it in the sweep, so they are formed up front.
+        prop = beta + beta_scale * z_beta
+        move = (prop - beta).T
+        shift = XcT * move[:, :, None]
+        dprior = (-((prop - prior_mean) ** 2 - (beta - prior_mean) ** 2)
+                  / (2.0 * prior_var)).T
+        # In a chain whose largest |psi| plus all proposed moves stays inside
+        # the clamp, clipping is the identity and the likelihood gain
+        # y @ (psi_new - psi) of move j is move * (y @ X_j).
+        clip_free = (np.abs(psi).max(axis=1) + np.add.reduce(np.abs(move) * col_reach, axis=0)
+                     < PSI_CLAMP * (1.0 - 1e-9))
+        all_free = clip_free.all()
+        # Move j is taken where lam_sum_new - lam_sum - gain < dprior - log u.
+        slack = dprior - np.log(u_beta).T
+        np.add(slack, move * y_x, out=slack, where=clip_free)
+        took = []
+        lam_sum = np.add.reduce(lam, axis=1)
         for j in range(p):
-            prop = beta[j] + beta_scale[j] * z[j]
-            dpsi = Xc[:, j] * (prop - beta[j])
-            psi_new = psi + dpsi
-            psic_new = np.clip(psi_new, -PSI_CLAMP, PSI_CLAMP)
-            lam_new = np.exp(psic_new)
-            dlik = float(y @ (psic_new - psic) - lam_new.sum() + lam.sum())
-            dprior = -((prop - prior_mean[j]) ** 2
-                       - (beta[j] - prior_mean[j]) ** 2) / (2.0 * prior_var[j])
-            if logu[j] < dlik + dprior:
-                beta[j] = prop
-                psi, psic, lam = psi_new, psic_new, lam_new
-                acc_beta[j] += 1
-                win_beta[j] += 1
+            psi_new = psi + shift[j]
+            psic_new = psi_new if all_free else _clip(psi_new)
+            lam_new_sum = np.add.reduce(np.exp(psic_new), axis=1)
+            d_lam = lam_new_sum - lam_sum
+            if not all_free:
+                gain = np.add.reduce(y * (psic_new - _clip(psi)), axis=1)
+                np.subtract(d_lam, gain, out=d_lam, where=~clip_free)
+            take = d_lam < slack[j]
+            took.append(take)
+            np.copyto(psi, psi_new, where=take[:, None])
+            np.copyto(lam_sum, lam_new_sum, where=take)
+        psic = _clip(psi)
+        lam = np.exp(psic)
+        took = np.array(took).T
+        np.copyto(beta, prop, where=took)
+        acc_beta += took
 
         # --- heterogeneity effects: conditionally independent, one shot ---
         if has_theta:
-            z = rng.standard_normal(n)
-            logu = np.log(rng.random(n))
-            prop = theta + theta_scale * z
+            prop = theta + theta_scale * z_theta
             psi_new = psi + (prop - theta)
-            psic_new = np.clip(psi_new, -PSI_CLAMP, PSI_CLAMP)
+            psic_new = _clip(psi_new)
             lam_new = np.exp(psic_new)
             delta = (y * (psic_new - psic) - (lam_new - lam)
-                     - (prop * prop - theta * theta) / (2.0 * sigma2))
-            take = logu < delta
-            theta[take] = prop[take]
-            psi[take] = psi_new[take]
-            psic[take] = psic_new[take]
-            lam[take] = lam_new[take]
-            acc_theta[take] += 1
-            win_theta[take] += 1
+                     - (prop * prop - theta * theta) / (2.0 * sigma2)[:, None])
+            take = np.log(u_theta) < delta
+            np.copyto(theta, prop, where=take)
+            np.copyto(psi, psi_new, where=take)
+            np.copyto(psic, psic_new, where=take)
+            np.copyto(lam, lam_new, where=take)
+            acc_theta += take
 
         # --- spatial effects: vectorized over coloring classes ---
         if has_phi:
-            z = rng.standard_normal(n)
-            logu = np.log(rng.random(n))
-            wplus = spatial["wplus"]
-            for members in spatial["classes"]:
-                s = spatial["csr"].dot(phi)
-                m = s[members] / wplus[members]
-                cur = phi[members]
-                prop = cur + phi_scale[members] * z[members]
-                psi_new = psi[members] + (prop - cur)
-                psic_new = np.clip(psi_new, -PSI_CLAMP, PSI_CLAMP)
+            logu = np.log(u_phi)
+            phi_move = phi_scale * z_phi
+            half_tau = 0.5 * tau[:, None]
+            for members, flat, nbr, weight, wplus, y_m in phi_classes:
+                m = np.add.reduce(phi.take(nbr, axis=1) * weight, axis=1) / wplus
+                cur = phi.take(members, axis=1)
+                prop = cur + phi_move.take(members, axis=1)
+                psi_m, psic_m, lam_m = (v.take(members, axis=1) for v in (psi, psic, lam))
+                psi_new = psi_m + (prop - cur)
+                psic_new = _clip(psi_new)
                 lam_new = np.exp(psic_new)
-                delta = (y[members] * (psic_new - psic[members])
-                         - (lam_new - lam[members])
-                         - 0.5 * tau * wplus[members]
-                         * ((prop - m) ** 2 - (cur - m) ** 2))
-                take = logu[members] < delta
-                idx = members[take]
-                phi[idx] = prop[take]
-                psi[idx] = psi_new[take]
-                psic[idx] = psic_new[take]
-                lam[idx] = lam_new[take]
-                acc_phi[idx] += 1
-                win_phi[idx] += 1
+                delta = (y_m * (psic_new - psic_m)
+                         - (lam_new - lam_m)
+                         - half_tau * wplus * ((prop - m) ** 2 - (cur - m) ** 2))
+                take = logu.take(members, axis=1) < delta
+                phi.put(flat, np.where(take, prop, cur))
+                psi.put(flat, np.where(take, psi_new, psi_m))
+                psic.put(flat, np.where(take, psic_new, psic_m))
+                lam.put(flat, np.where(take, lam_new, lam_m))
+                acc_phi.put(flat, acc_phi.take(flat) + take.ravel())
 
         # --- conjugate hyperparameter draws ---
         if sample_sigma:
-            rate = spec.sigma_theta_prior.rate + float(theta @ theta) / 2.0
-            sigma2 = rate / float(rng.standard_gamma(sigma_shape))
+            rate = spec.sigma_theta_prior.rate + _row_dot(theta, theta) / 2.0
+            sigma2 = rate / g_sigma
         if sample_tau:
-            d = phi[spatial["ei"]] - phi[spatial["ej"]]
-            s_quad = float(np.sum(spatial["ew"] * d * d))
+            d = phi.take(spatial["ei"], axis=1) - phi.take(spatial["ej"], axis=1)
+            s_quad = np.add.reduce(spatial["ew"] * d * d, axis=1)
             rate = spec.tau_c_prior.rate + s_quad / 2.0
-            tau = float(rng.standard_gamma(tau_shape)) / rate
+            tau = g_tau / rate
 
         # --- re-center phi; the intercept absorbs the removed mean ---
         if has_phi:
             if debug and spatial["exact_recenter"]:
-                ll_before = float(y @ psic - lam.sum())
+                ll_before = _row_dot(y, psic) - np.add.reduce(lam, axis=1)
             if spatial["exact_recenter"]:
-                members = spatial["comp_members"][0]
-                m = float(phi[members].mean())
-                phi[members] -= m
-                beta[0] += m
+                beta[:, 0] += _center_rows(phi, *components[0])
             else:
-                for members in spatial["comp_members"]:
-                    phi[members] -= phi[members].mean()
+                for members, flat in components:
+                    _center_rows(phi, members, flat)
                 # Projection without compensation: with several components
                 # (or islands) a single intercept cannot absorb the means.
                 psi = fresh_psi()
-                psic = np.clip(psi, -PSI_CLAMP, PSI_CLAMP)
+                psic = _clip(psi)
                 lam = np.exp(psic)
             if debug and spatial["exact_recenter"]:
-                p2 = fresh_psi()
-                p2c = np.clip(p2, -PSI_CLAMP, PSI_CLAMP)
-                ll_after = float(y @ p2c - np.exp(p2c).sum())
-                if abs(ll_after - ll_before) > 1e-6 * max(1.0, abs(ll_before)):
-                    raise AssertionError(
-                        f"re-centering changed the likelihood: {ll_before} -> {ll_after}")
+                p2c = _clip(fresh_psi())
+                ll_after = _row_dot(y, p2c) - np.add.reduce(np.exp(p2c), axis=1)
+                for before, after in zip(ll_before, ll_after):
+                    if abs(after - before) > 1e-6 * max(1.0, abs(before)):
+                        raise AssertionError(
+                            f"re-centering changed the likelihood: {before} -> {after}")
 
-        clamp_events += int(np.count_nonzero(np.abs(psi) > PSI_CLAMP))
+        size = np.abs(psi)
+        clamp_events += np.add.reduce(size > PSI_CLAMP, axis=1)
 
-        if not (np.isfinite(psi).all() and np.isfinite(beta).all()
-                and sigma2 > 0 and tau > 0):
+        if not (size.max() < np.inf and np.isfinite(beta).all()
+                and sigma2.min() > 0 and tau.min() > 0):
+            healthy = (np.isfinite(psi).all(axis=1) & np.isfinite(beta).all(axis=1)
+                       & (sigma2 > 0) & (tau > 0))
+            k = int(np.argmin(healthy))
             raise McmcDivergenceError(
-                f"chain {chain_id} diverged at sweep {t}: "
-                f"max|psi|={np.abs(psi).max():.3g}, sigma2={sigma2:.3g}, tau={tau:.3g}")
+                f"chain {k} diverged at sweep {t}: "
+                f"max|psi|={np.abs(psi[k]).max():.3g}, sigma2={sigma2[k]:.3g}, "
+                f"tau={tau[k]:.3g}")
 
         # --- proposal adaptation, burn-in only ---
         if in_burn and (t + 1) % _ADAPT_BATCH == 0:
             batch = (t + 1) // _ADAPT_BATCH
             step = min(0.1, 1.0 / math.sqrt(batch))
-            beta_scale *= np.exp(np.where(win_beta / _ADAPT_BATCH > config.target_accept,
-                                          step, -step))
+            rates = [(acc - start) / _ADAPT_BATCH
+                     for acc, start in zip((acc_beta, acc_theta, acc_phi), batch_start)]
+            beta_scale *= np.exp(np.where(rates[0] > config.target_accept, step, -step))
             if has_theta:
-                theta_scale *= np.exp(np.where(win_theta / _ADAPT_BATCH > config.target_accept,
-                                               step, -step))
+                theta_scale *= np.exp(np.where(rates[1] > config.target_accept, step, -step))
             if has_phi:
-                phi_scale *= np.exp(np.where(win_phi / _ADAPT_BATCH > config.target_accept,
-                                             step, -step))
-            win_beta[:] = 0
-            win_theta[:] = 0
-            win_phi[:] = 0
+                phi_scale *= np.exp(np.where(rates[2] > config.target_accept, step, -step))
+            batch_start = (acc_beta.copy(), acc_theta.copy(), acc_phi.copy())
         if t == config.burn_in - 1:
             adaptation_frozen = True
 
         # Periodic refresh keeps incremental psi from drifting.
         if (t + 1) % _PSI_REFRESH == 0:
             psi = fresh_psi()
-            psic = np.clip(psi, -PSI_CLAMP, PSI_CLAMP)
+            psic = _clip(psi)
             lam = np.exp(psic)
 
         if not in_burn and (t - config.burn_in) % config.thin == 0:
-            draws_beta[kept_idx] = beta
-            draws_sigma2[kept_idx] = sigma2
-            draws_tau[kept_idx] = tau
-            draws_dev[kept_idx] = -2.0 * (float(y @ psic) - float(lam.sum()) - lgamma_const)
-            sd_t = float(theta.std(ddof=1)) if n > 1 else 0.0
-            sd_p = float(phi.std(ddof=1)) if n > 1 else 0.0
-            if sd_t + sd_p > 0:
-                draws_alpha[kept_idx] = sd_p / (sd_t + sd_p)
+            draws_beta[:, kept_idx] = beta
+            draws_sigma2[:, kept_idx] = sigma2
+            draws_tau[:, kept_idx] = tau
+            draws_dev[:, kept_idx] = -2.0 * (_row_dot(y, psic) - np.add.reduce(lam, axis=1)
+                                             - lgamma_const)
+            if n > 1:
+                sd_t, sd_p = _row_sd(theta), _row_sd(phi)
+                spread = sd_t + sd_p
+                np.divide(sd_p, spread, out=draws_alpha[:, kept_idx], where=spread > 0)
             sum_theta += theta
             sum_phi += phi
             sum_lam += lam
             kept_idx += 1
 
     denom = config.burn_in + config.iters
-    return {
-        "beta": draws_beta,
-        "sigma2": draws_sigma2,
-        "tau": draws_tau,
-        "dev": draws_dev,
-        "alpha": draws_alpha,
-        "sum_theta": sum_theta,
-        "sum_phi": sum_phi,
-        "sum_lam": sum_lam,
+    return [{
+        "beta": draws_beta[k],
+        "sigma2": draws_sigma2[k],
+        "tau": draws_tau[k],
+        "dev": draws_dev[k],
+        "alpha": draws_alpha[k],
+        "sum_theta": sum_theta[k],
+        "sum_phi": sum_phi[k],
+        "sum_lam": sum_lam[k],
         "kept": kept,
-        "acc_beta": acc_beta / denom,
-        "acc_theta": acc_theta / denom if has_theta else None,
-        "acc_phi": acc_phi / denom if has_phi else None,
-        "clamp_events": clamp_events,
+        "acc_beta": acc_beta[k] / denom,
+        "acc_theta": acc_theta[k] / denom if has_theta else None,
+        "acc_phi": acc_phi[k] / denom if has_phi else None,
+        "clamp_events": int(clamp_events[k]),
         "adaptation_frozen": adaptation_frozen,
-    }
+    } for k in range(K)]
 
 
 def _summary_row(pooled, per_chain, significant_candidate=True):
@@ -563,24 +660,59 @@ def _summary_row(pooled, per_chain, significant_candidate=True):
     return row
 
 
-def _resolve_threads(threads):
-    if threads is not None:
-        return max(1, int(threads))
-    return max(1, int(os.environ.get(THREADS_ENV_VAR, "1")))
-
-
 def fit(y, design, W, spec: ModelSpec = None, config: McmcConfig = None,
         threads: int = None, debug: bool = False) -> PosteriorReport:
     """Fit the model by MCMC and assemble the posterior report.
 
-    Chains run independently from spawned sub-seeds (optionally on a thread
-    pool: the ``threads`` argument, or the TAZCAR_THREADS environment
-    variable, defaulting to 1) and are merged in chain order, so the report
-    is identical across thread counts.  A run whose R-hat exceeds the
+    Chains start from spawned sub-seeds, advance together in one batched
+    sampler and are merged in chain order.  ``threads`` is accepted for
+    compatibility and has no effect.  A run whose R-hat exceeds the
     threshold comes back with converged=False rather than raising.
     """
+    return fit_batch([(y, design)], W, spec, [config], debug=debug)[0]
+
+
+def fit_batch(datasets, W, spec: ModelSpec = None, configs=None,
+              debug: bool = False) -> list:
+    """Fit several (y, design) data sets on one proximity matrix, running the
+    chains of all of them in one batched sampler.  configs (one per data set,
+    default McmcConfig()) may differ in seed only.  Each report equals the
+    one ``fit`` gives for its data set alone.
+    """
     spec = spec if spec is not None else ModelSpec()
-    config = config if config is not None else McmcConfig()
+    configs = list(configs) if configs is not None else [None] * len(datasets)
+    configs = [c if c is not None else McmcConfig() for c in configs]
+    if not datasets or len(configs) != len(datasets):
+        raise ValidationError("fit_batch needs one config per data set")
+    config = configs[0]
+    if any(replace(c, seed=config.seed) != config for c in configs):
+        raise ValidationError("the configs of one batch may differ in seed only")
+    inputs = [_fit_inputs(y, design, W, spec) for y, design in datasets]
+    n = inputs[0]["n"]
+    if any(inp["n"] != n or inp["labels"] != inputs[0]["labels"] for inp in inputs):
+        raise ValidationError("the data sets of one batch must share zones and design columns")
+    spatial = inputs[0]["spatial"]
+
+    chains = [(seed, inp) for inp, c in zip(inputs, configs)
+              for seed in np.random.SeedSequence(c.seed).spawn(c.chains)]
+    offsets = [inp["offset"] for _, inp in chains]
+    results = _run_chains(
+        [seed for seed, _ in chains],
+        np.stack([inp["y_float"] for _, inp in chains]),
+        [inp["Xc"] for _, inp in chains],
+        None if all(o is None for o in offsets)
+        else np.stack([np.zeros(n) if o is None else o for o in offsets]),
+        spatial, spec, config,
+        np.stack([inp["beta_hat"] for _, inp in chains]),
+        {"se": np.stack([inp["se"] for _, inp in chains]), "labels": inputs[0]["labels"]},
+        debug)
+    k = config.chains
+    return [_assemble(results[i * k:(i + 1) * k], inp, spatial, spec, c)
+            for i, (inp, c) in enumerate(zip(inputs, configs))]
+
+
+def _fit_inputs(y, design, W, spec) -> dict:
+    """Validated counts, centred design and maximum-likelihood start of one data set."""
     y = np.asarray(y)
     if np.any(y < 0) or np.any(y != np.floor(np.asarray(y, dtype=float))):
         raise ValidationError("y must be nonnegative integer counts")
@@ -612,17 +744,15 @@ def fit(y, design, W, spec: ModelSpec = None, config: McmcConfig = None,
         beta_hat = np.zeros(p)
         beta_hat[0] = math.log(max(float(np.mean(y)), 1e-8))
         se = np.full(p, 0.1)
-    beta_se = {"se": se, "labels": labels}
+    return {"y": y, "y_float": np.asarray(y, dtype=float), "design": design,
+            "labels": labels, "n": n, "p": p, "offset": offset, "center": center,
+            "Xc": Xc, "beta_hat": beta_hat, "se": se, "spatial": spatial}
 
-    seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
-    nthreads = _resolve_threads(threads)
-    args = [(c, seeds[c], np.asarray(y, dtype=float), Xc, offset, spatial, spec,
-             config, beta_hat, beta_se, debug) for c in range(config.chains)]
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            results = list(pool.map(lambda a: _run_chain(*a), args))
-    else:
-        results = [_run_chain(*a) for a in args]
+
+def _assemble(results, inp, spatial, spec, config) -> PosteriorReport:
+    """Merge one data set's chains, in chain order, into its posterior report."""
+    y, design, labels = inp["y"], inp["design"], inp["labels"]
+    n, p, center, Xc, offset = inp["n"], inp["p"], inp["center"], inp["Xc"], inp["offset"]
 
     # Map design-scale draws back to raw covariate scale per chain.
     raw_beta = []

@@ -10,10 +10,14 @@ import numpy as np
 
 from .dataset import build_design, crash_counts
 from .errors import ValidationError
-from .mcmc import McmcConfig, fit
+from .mcmc import McmcConfig, fit_batch
 from .model import ModelSpec
 from .synth import SimulationTruth, default_truth, generate_lattice, simulate_dataset
 from .weights import ADJACENCY, build_weights
+
+# Replicates whose chains one batched sampler runs together; their kept
+# draws are held at once, so this bounds memory.
+_REPS_PER_BATCH = 5
 
 
 @dataclass
@@ -75,7 +79,9 @@ def run_recovery(truth: SimulationTruth = None, reps: int = 20, lattice: int = 1
     """Fit `reps` simulated datasets on an M x M lattice and score recovery.
 
     Replicate r uses simulation seed seed+r and fit seed seed+10000+r, so
-    the whole experiment is reproducible from one seed.
+    the whole experiment is reproducible from one seed.  Replicates are
+    fitted a few at a time in one batched sampler; ``threads`` is accepted
+    for compatibility and has no effect.
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
@@ -85,31 +91,34 @@ def run_recovery(truth: SimulationTruth = None, reps: int = 20, lattice: int = 1
     W = build_weights(topology, ADJACENCY)
 
     result = None
-    for r in range(reps):
-        records, realized = simulate_dataset(topology, truth, seed=seed + r)
-        design = build_design(records, spec)
+    for start in range(0, reps, _REPS_PER_BATCH):
+        group = range(start, min(start + _REPS_PER_BATCH, reps))
+        simulated = [simulate_dataset(topology, truth, seed=seed + r) for r in group]
+        designs = [build_design(records, spec) for records, _ in simulated]
         if result is None:
-            labels = list(design.labels)
+            labels = list(designs[0].labels)
             missing = [lbl for lbl in labels if lbl not in truth.beta]
             if missing:
                 raise ValidationError(f"truth beta is missing coefficients {missing}")
             result = RecoveryResult(reps=reps, labels=labels,
                                     covered={lbl: 0 for lbl in labels},
                                     truth={lbl: float(truth.beta[lbl]) for lbl in labels})
-        y = crash_counts(records)
-        config = McmcConfig(chains=chains, burn_in=burn_in, iters=iters,
-                            seed=seed + 10000 + r)
-        report = fit(y, design, W, spec, config, threads=threads)
+        configs = [McmcConfig(chains=chains, burn_in=burn_in, iters=iters,
+                              seed=seed + 10000 + r) for r in group]
+        reports = fit_batch([(crash_counts(records), design)
+                             for (records, _), design in zip(simulated, designs)],
+                            W, spec, configs)
 
-        rhats = [report.parameters[lbl]["rhat"] for lbl in labels]
-        result.rhat_max.append(float(max(rhats)))
-        result.converged.append(bool(report.converged))
-        for lbl in labels:
-            row = report.parameters[lbl]
-            if row["q025"] <= truth.beta[lbl] <= row["q975"]:
-                result.covered[lbl] += 1
-        if realized.alpha_true is not None and report.alpha["mean"] is not None:
-            result.alpha_true.append(float(realized.alpha_true))
-            result.alpha_hat.append(float(report.alpha["mean"]))
-            result.alpha_errors.append(abs(report.alpha["mean"] - realized.alpha_true))
+        for report, (_, realized) in zip(reports, simulated):
+            rhats = [report.parameters[lbl]["rhat"] for lbl in labels]
+            result.rhat_max.append(float(max(rhats)))
+            result.converged.append(bool(report.converged))
+            for lbl in labels:
+                row = report.parameters[lbl]
+                if row["q025"] <= truth.beta[lbl] <= row["q975"]:
+                    result.covered[lbl] += 1
+            if realized.alpha_true is not None and report.alpha["mean"] is not None:
+                result.alpha_true.append(float(realized.alpha_true))
+                result.alpha_hat.append(float(report.alpha["mean"]))
+                result.alpha_errors.append(abs(report.alpha["mean"] - realized.alpha_true))
     return result

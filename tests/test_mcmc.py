@@ -8,6 +8,7 @@ from tazcar.mcmc import (
     McmcConfig,
     PosteriorReport,
     fit,
+    fit_batch,
     gelman_rubin,
     informative_priors_from_irls,
     irls_poisson_fit,
@@ -16,6 +17,7 @@ from tazcar.mcmc import (
     update_sigma_theta,
     update_tau_c,
 )
+from tazcar import recovery
 from tazcar.model import GammaPrior, ModelSpec
 from tazcar.synth import default_truth, generate_lattice, simulate_dataset
 from tazcar.weights import ADJACENCY, ProximityMatrix, build_weights
@@ -236,6 +238,44 @@ class TestFit:
                   ModelSpec(include_theta=False, fixed_tau_c=2.0), config)
         assert "tau_c" not in rep.parameters
         assert "sigma_theta2" not in rep.parameters
+
+    def test_batch_reports_equal_separate_fits(self, small_sim):
+        # The third data set drives psi into the clamp, so its chains take the
+        # clipping path while the others do not.
+        hot = small_sim["y"].copy()
+        hot[0] = 20_000_000_000_000
+        other, _ = simulate_dataset(generate_lattice(5), seed=43)
+        datasets = [(small_sim["y"], small_sim["design"]),
+                    (crash_counts(other), build_design(other)),
+                    (hot, small_sim["design"])]
+        configs = [McmcConfig(chains=2, burn_in=100, iters=150, seed=s) for s in (5, 6, 7)]
+        batched = fit_batch(datasets, small_sim["W"], ModelSpec(), configs)
+        assert batched[2].clamp_events > 0
+        for (y, design), config, rep in zip(datasets, configs, batched):
+            alone = fit(y, design, small_sim["W"], ModelSpec(), config)
+            assert rep.to_json() == alone.to_json()
+
+    def test_batch_configs_may_differ_in_seed_only(self, small_sim):
+        datasets = [(small_sim["y"], small_sim["design"])] * 2
+        configs = [McmcConfig(burn_in=100, iters=150, seed=1),
+                   McmcConfig(burn_in=100, iters=200, seed=2)]
+        with pytest.raises(ValidationError, match="seed only"):
+            fit_batch(datasets, small_sim["W"], ModelSpec(), configs)
+
+    def test_batch_data_sets_share_zones(self):
+        designs = [DesignMatrix(matrix=np.ones((n, 1)), labels=("intercept",)) for n in (4, 5)]
+        datasets = [(np.ones(4, dtype=int), designs[0]), (np.ones(5, dtype=int), designs[1])]
+        with pytest.raises(ValidationError, match="share zones"):
+            fit_batch(datasets, None, ModelSpec(include_phi=False),
+                      [McmcConfig(burn_in=10, iters=10)] * 2)
+
+    def test_recovery_does_not_depend_on_batch_size(self, monkeypatch):
+        def run():
+            return recovery.run_recovery(reps=3, lattice=4, seed=2, chains=2,
+                                         burn_in=100, iters=150).to_json()
+        batched = run()
+        monkeypatch.setattr(recovery, "_REPS_PER_BATCH", 1)
+        assert run() == batched
 
     def test_island_zone_handled(self):
         from tazcar.weights import ZoneTopology
