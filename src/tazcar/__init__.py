@@ -37,13 +37,6 @@ from .evaluate import (
     r_squared,
 )
 from .mcmc import McmcConfig, PosteriorReport, fit, gelman_rubin, irls_poisson_fit
-from .model import (
-    ModelSpec,
-    ModelState,
-    car_conditional,
-    icar_log_density_kernel,
-    linear_predictor,
-    poisson_loglik,
-)
+from .model import ModelSpec, icar_log_density_kernel, poisson_loglik
 from .synth import generate_lattice, generate_pattern_network, simulate_dataset
 from .weights import ProximityMatrix, ZoneTopology, build_weights, connected_components, row_sums

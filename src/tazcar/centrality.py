@@ -20,7 +20,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from .errors import ConnectivityWarning, DomainError, ValidationError
+from .errors import ConnectivityWarning, DomainError, ValidationError, located
 
 HOP_COUNT = "hop_count"
 EDGE_LENGTH = "edge_length"
@@ -62,6 +62,30 @@ def _valid_length(length: float) -> bool:
     return math.isfinite(length) and length > 0
 
 
+def _check_edge(e, node_count: int, seen: set) -> tuple:
+    """One edge as (u, v, length or None), checked against the node count and
+    the undirected edges in seen, to which it is added."""
+    if len(e) == 2:
+        u, v = e
+        length = None
+    elif len(e) == 3:
+        u, v, length = e
+    else:
+        raise ValidationError(f"edge {e!r} must be (u, v) or (u, v, length)")
+    if u == v:
+        raise ValidationError(f"self-loop on node {u} in edge {e!r}")
+    for node in (u, v):
+        if not (0 <= node < node_count):
+            raise ValidationError(f"node id {node} out of range [0, {node_count}) in edge {e!r}")
+    if length is not None and not _valid_length(length):
+        raise ValidationError(f"length must be finite and positive in edge {e!r}")
+    key = (min(u, v), max(u, v))
+    if key in seen:
+        raise ValidationError(f"duplicate undirected edge {key} in edge {e!r}")
+    seen.add(key)
+    return int(u), int(v), None if length is None else float(length)
+
+
 @dataclass(frozen=True)
 class RoadGraph:
     """Undirected road network: nodes are junctions, edges are road links.
@@ -81,30 +105,8 @@ class RoadGraph:
         if self.node_count < 1:
             raise ValidationError("node_count must be a positive integer")
         seen = set()
-        norm = []
-        for e in self.edges:
-            if len(e) == 2:
-                u, v = e
-                length = None
-            elif len(e) == 3:
-                u, v, length = e
-            else:
-                raise ValidationError(f"edge {e!r} must be (u, v) or (u, v, length)")
-            if u == v:
-                raise ValidationError(f"self-loop on node {u} in edge {e!r}")
-            for node in (u, v):
-                if not (0 <= node < self.node_count):
-                    raise ValidationError(
-                        f"node id {node} out of range [0, {self.node_count}) in edge {e!r}"
-                    )
-            if length is not None and not _valid_length(length):
-                raise ValidationError(f"length must be finite and positive in edge {e!r}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValidationError(f"duplicate undirected edge {key} in edge {e!r}")
-            seen.add(key)
-            norm.append((int(u), int(v), None if length is None else float(length)))
-        object.__setattr__(self, "edges", tuple(norm))
+        norm = tuple(_check_edge(e, self.node_count, seen) for e in self.edges)
+        object.__setattr__(self, "edges", norm)
 
     @property
     def edge_count(self) -> int:
@@ -309,6 +311,7 @@ def read_edge_list(path) -> RoadGraph:
     which otherwise is inferred as ``max id + 1``.
     """
     edges = []
+    linenos = []
     node_count = None
     max_id = -1
     with open(path, "r", encoding="utf-8") as fh:
@@ -341,6 +344,7 @@ def read_edge_list(path) -> RoadGraph:
                     raise ValidationError(f"{path}:{lineno}: length must be a finite positive "
                                           f"number, got {parts[2]!r}")
             edges.append((u, v) if length is None else (u, v, length))
+            linenos.append(lineno)
             max_id = max(max_id, u, v)
     if node_count is None:
         node_count = max_id + 1
@@ -349,7 +353,8 @@ def read_edge_list(path) -> RoadGraph:
     try:
         return RoadGraph(node_count=node_count, edges=tuple(edges))
     except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+        raise located(path, linenos, edges,
+                      lambda e, seen: _check_edge(e, node_count, seen), exc) from None
 
 
 def write_edge_list(graph: RoadGraph, path) -> None:

@@ -136,12 +136,12 @@ def weights(topology_path, mode, out_path, dense):
 @click.option("--iters", type=int, default=50000, show_default=True)
 @click.option("--thin", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--threads", type=int, default=None,
+@click.option("--threads", type=int, default=None, expose_value=False,
               help="Accepted for compatibility; chains share one batched sampler.")
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Write the posterior report JSON here.")
 def fit_cmd(data_path, weights_path, spec_path, chains, burnin, iters, thin,
-            seed, threads, out_path):
+            seed, out_path):
     """Fit the Poisson-lognormal CAR model to a dataset."""
     loaded = _guard(load_dataset, data_path)
     if loaded.errors:
@@ -162,7 +162,7 @@ def fit_cmd(data_path, weights_path, spec_path, chains, burnin, iters, thin,
     y = crash_counts(loaded.records)
     config = _guard(McmcConfig, chains=chains, burn_in=burnin, iters=iters,
                     thin=thin, seed=seed)
-    report = _guard(fit, y, design, W, spec, config, threads=threads)
+    report = _guard(fit, y, design, W, spec, config)
     click.echo(report.render_table())
     if out_path:
         report.to_json(out_path)
@@ -212,15 +212,15 @@ def simulate(lattice_m, seed, truth_path, phi_mode, out_path, truth_out, topolog
 @click.option("--burnin", type=int, default=5000, show_default=True)
 @click.option("--iters", type=int, default=10000, show_default=True)
 @click.option("--chains", type=int, default=2, show_default=True)
-@click.option("--threads", type=int, default=None,
+@click.option("--threads", type=int, default=None, expose_value=False,
               help="Accepted for compatibility; chains share one batched sampler.")
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Write the coverage summary JSON here.")
-def recover(truth_path, reps, lattice_m, seed, burnin, iters, chains, threads, out_path):
+def recover(truth_path, reps, lattice_m, seed, burnin, iters, chains, out_path):
     """Replicate simulate-and-refit runs and report coverage of the truth."""
     truth = _guard(SimulationTruth.from_json, truth_path) if truth_path else default_truth()
     result = _guard(run_recovery, truth, reps=reps, lattice=lattice_m, seed=seed,
-                    chains=chains, burn_in=burnin, iters=iters, threads=threads)
+                    chains=chains, burn_in=burnin, iters=iters)
     click.echo(result.render_table())
     if out_path:
         result.to_json(out_path)

@@ -1,4 +1,5 @@
-"""Exception and warning types shared across the toolkit."""
+"""Exception and warning types shared across the toolkit, and the helper that
+places an error in a parsed file at its line."""
 
 
 class TazcarError(Exception):
@@ -7,6 +8,19 @@ class TazcarError(Exception):
 
 class ValidationError(TazcarError):
     """Malformed input data: bad graph edges, bad topology pairs, bad records."""
+
+
+def located(path, linenos, entries, check, exc) -> ValidationError:
+    """A file's rejected content as an error at ``path:line`` of the first
+    entry that ``check(entry, seen)`` rejects, or at ``path`` when every entry
+    passes; ``seen`` is a set that check may fill."""
+    seen = set()
+    for lineno, entry in zip(linenos, entries):
+        try:
+            check(entry, seen)
+        except ValidationError as bad:
+            return ValidationError(f"{path}:{lineno}: {bad}")
+    return ValidationError(f"{path}: {exc}")
 
 
 class DomainError(TazcarError):

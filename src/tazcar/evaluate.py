@@ -6,9 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, ValidationError
+from .model import _alpha_share, poisson_loglik
 
 # DIC gap labels: differences above 10 rule a model out, 5-10 matter,
 # below 5 the models are effectively tied.
@@ -22,9 +22,7 @@ def deviance(y, lam) -> float:
     lam = np.asarray(lam, dtype=float)
     if y.shape != lam.shape:
         raise ValidationError("y and lambda lengths differ")
-    if np.any(lam <= 0):
-        raise DomainError("lambda must be positive")
-    return float(-2.0 * np.sum(y * np.log(lam) - lam - gammaln(y + 1.0)))
+    return -2.0 * poisson_loglik(y, lam)
 
 
 @dataclass(frozen=True)
@@ -117,27 +115,8 @@ def alpha_spatial_share(theta_draw, phi_draw):
     phi = np.asarray(phi_draw, dtype=float)
     if theta.shape != phi.shape:
         raise ValidationError("theta and phi draws must have equal length")
-    sd_t = float(theta.std(ddof=1)) if theta.size > 1 else 0.0
-    sd_p = float(phi.std(ddof=1)) if phi.size > 1 else 0.0
-    total = sd_t + sd_p
-    if total == 0:
-        return None
-    return sd_p / total
-
-
-def alpha_trace(theta_draws, phi_draws) -> np.ndarray:
-    """Per-iteration alpha over aligned (iterations x zones) draw arrays;
-    undefined iterations come back as NaN."""
-    theta_draws = np.atleast_2d(np.asarray(theta_draws, dtype=float))
-    phi_draws = np.atleast_2d(np.asarray(phi_draws, dtype=float))
-    if theta_draws.shape != phi_draws.shape:
-        raise ValidationError("draw arrays must have equal shape")
-    out = np.full(theta_draws.shape[0], np.nan)
-    for t in range(theta_draws.shape[0]):
-        a = alpha_spatial_share(theta_draws[t], phi_draws[t])
-        if a is not None:
-            out[t] = a
-    return out
+    share = float(_alpha_share(theta.reshape(1, -1), phi.reshape(1, -1))[0])
+    return None if np.isnan(share) else share
 
 
 def percent_change(beta: float) -> float:

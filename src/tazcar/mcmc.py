@@ -9,7 +9,9 @@ finally a re-centering of phi with the intercept absorbing the removed
 mean.  Proposal scales adapt toward 0.44 acceptance during burn-in only.
 
 Chains run together in one batched sampler: their states are the rows of
-(chains x zones) arrays, so one numpy call serves every chain.
+(chains x zones) arrays, so one numpy call serves every chain.  Each block
+is an updater over the shared state (_State: parameters, psi, clamped psi,
+lambda); the log-density math they use is the row-wise kernels of model.py.
 
 Determinism: every chain owns a PCG64 generator spawned from the config
 seed, random numbers are consumed in fixed-size blocks each sweep, and
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,7 +36,15 @@ from .model import (
     ModelSpec,
     NormalPrior,
     PSI_CLAMP,
-    icar_pairwise_sum,
+    _alpha_share,
+    _car_log_ratio,
+    _car_mean,
+    _clamp,
+    _gauss_log_ratio,
+    _loglik_terms,
+    _row_loglik,
+    _sigma_theta_posterior,
+    _tau_c_posterior,
 )
 
 _ADAPT_BATCH = 50
@@ -62,10 +72,7 @@ class McmcConfig:
             raise ValidationError("target_accept must be in (0, 1)")
 
     def to_dict(self) -> dict:
-        return {"chains": self.chains, "burn_in": self.burn_in, "iters": self.iters,
-                "thin": self.thin, "seed": self.seed,
-                "target_accept": self.target_accept,
-                "bgr_threshold": self.bgr_threshold}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def gelman_rubin(chains) -> float:
@@ -92,8 +99,8 @@ def gelman_rubin(chains) -> float:
 
 def sigma_theta_posterior(theta, prior: GammaPrior) -> tuple:
     """Conjugate inverse-gamma posterior (shape, rate) for sigma_theta^2."""
-    theta = np.asarray(theta, dtype=float)
-    return prior.shape + theta.size / 2.0, prior.rate + float(theta @ theta) / 2.0
+    shape, rate = _sigma_theta_posterior(np.asarray(theta, dtype=float).reshape(1, -1), prior)
+    return shape, float(rate[0])
 
 
 def update_sigma_theta(theta, prior: GammaPrior, rng: np.random.Generator) -> float:
@@ -108,10 +115,9 @@ def tau_c_posterior(phi, W, component_count: int, prior: GammaPrior) -> tuple:
     Degrees of freedom are n - G for G connected components; the rate grows
     by half the weighted pairwise squared-difference sum.
     """
-    phi = np.asarray(phi, dtype=float)
-    n = phi.size
-    s = icar_pairwise_sum(phi, W)
-    return prior.shape + (n - component_count) / 2.0, prior.rate + s / 2.0
+    phi = np.asarray(phi, dtype=float).reshape(1, -1)
+    shape, rate = _tau_c_posterior(phi, *W.neighbor_arrays(), component_count, prior)
+    return shape, float(rate[0])
 
 
 def update_tau_c(phi, W, component_count: int, prior: GammaPrior,
@@ -141,13 +147,12 @@ def irls_poisson_fit(design, y, max_iter: int = 100, tol: float = 1e-8) -> tuple
     ybar = max(y.mean(), 1e-8)
     beta[0] = math.log(ybar) - off.mean() if np.all(X[:, 0] == 1.0) else 0.0
     for _ in range(max_iter):
-        eta = np.clip(X @ beta + off, -PSI_CLAMP, PSI_CLAMP)
+        eta = _clamp(X @ beta + off)
         mu = np.exp(eta)
         score = X.T @ (y - mu)
-        if float(np.linalg.norm(score)) < tol:
-            info = X.T @ (X * mu[:, None])
-            return beta, np.linalg.inv(info)
         info = X.T @ (X * mu[:, None])
+        if float(np.linalg.norm(score)) < tol:
+            return beta, np.linalg.inv(info)
         beta = beta + np.linalg.solve(info, score)
     raise ConvergenceError(f"IRLS did not converge in {max_iter} iterations")
 
@@ -185,25 +190,7 @@ class PosteriorReport:
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "parameters": self.parameters,
-            "alpha": self.alpha,
-            "d_bar": self.d_bar,
-            "p_d": self.p_d,
-            "dic": self.dic,
-            "r_squared": self.r_squared,
-            "deviance_trace": self.deviance_trace,
-            "acceptance": self.acceptance,
-            "rhat_threshold": self.rhat_threshold,
-            "converged": self.converged,
-            "clamp_events": self.clamp_events,
-            "seed": self.seed,
-            "config": self.config,
-            "n_zones": self.n_zones,
-            "island_count": self.island_count,
-            "component_count": self.component_count,
-            "notes": self.notes,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self, path=None) -> str:
         text = json.dumps(self.to_dict(), indent=2)
@@ -258,27 +245,16 @@ class PosteriorReport:
         return "\n".join(lines) + "\n"
 
 
-def _greedy_coloring(n, ei, ej, active) -> list:
+def _greedy_coloring(csr, active) -> list:
     """Partition active nodes into classes with no within-class neighbors."""
-    neigh = [[] for _ in range(n)]
-    for a, b in zip(ei, ej):
-        neigh[a].append(b)
-        neigh[b].append(a)
-    color = np.full(n, -1, dtype=int)
-    for u in range(n):
-        if not active[u]:
-            continue
-        used = {color[v] for v in neigh[u] if color[v] >= 0}
+    color = np.full(len(active), -1, dtype=int)
+    for u in np.flatnonzero(active):
+        used = set(color[csr.indices[csr.indptr[u]:csr.indptr[u + 1]]])
         c = 0
         while c in used:
             c += 1
         color[u] = c
-    classes = []
-    for c in range(color.max() + 1 if color.size and color.max() >= 0 else 0):
-        members = np.flatnonzero(color == c)
-        if members.size:
-            classes.append(members)
-    return classes
+    return [np.flatnonzero(color == c) for c in range(color.max() + 1)]
 
 
 def _prepare_spatial(W, n):
@@ -305,7 +281,7 @@ def _prepare_spatial(W, n):
         "component_count": W.component_count,
         "comp_members": comp_members,
         "classes": [(members, *_padded_neighbors(csr, members))
-                    for members in _greedy_coloring(n, ei, ej, active)],
+                    for members in _greedy_coloring(csr, active)],
         # Intercept absorption of the removed phi mean is an exact identity
         # only with a single non-island component and no islands.
         "exact_recenter": len(comp_members) == 1 and not np.count_nonzero(~active),
@@ -335,24 +311,177 @@ def _center_rows(phi, members, flat):
     return mean
 
 
-def _clip(psi):
-    """np.clip(psi, -PSI_CLAMP, PSI_CLAMP) without np.clip's per-call dispatch."""
-    return np.minimum(np.maximum(psi, -PSI_CLAMP), PSI_CLAMP)
+class _Target:
+    """What the chains sample, fixed for a run: per-chain data rows, centred
+    designs, priors and the spatial tables."""
+
+    def __init__(self, y, Xc, offset, spatial, spec, labels):
+        K, n = y.shape
+        self.y, self.Xc, self.offset, self.spec = y, Xc, offset, spec
+        self.XcT = np.stack([x.T for x in Xc], axis=1)  # (p, K, n): column j of each design
+        self.col_reach = np.abs(self.XcT).max(axis=2)
+        self.y_x = np.stack([self.XcT[:, k] @ y[k] for k in range(K)], axis=1)
+        self.lgamma_y = np.add.reduce(gammaln(y + 1.0), axis=1)
+        self.prior_mean = np.array([spec.prior_for(lbl).mean for lbl in labels])
+        self.prior_var = np.array([spec.prior_for(lbl).variance for lbl in labels])
+        self.has_theta = spec.include_theta
+        self.has_phi = spec.include_phi and spatial is not None
+        self.sample_sigma = self.has_theta and spec.fixed_sigma_theta2 is None
+        self.sample_tau = self.has_phi and spec.fixed_tau_c is None
+        if self.has_phi:
+            # Gathers use take(axis=1), which keeps rows contiguous, so row sums
+            # add up in the order a lone chain's sums do; scatters put values at
+            # flat positions k * n + i.
+            flat_at = n * np.arange(K)[:, None]
+            self.components = [(members, (flat_at + members).ravel())
+                               for members in spatial["comp_members"]]
+            # Per coloring class: members, their neighbours, row sums and counts.
+            self.phi_classes = [(members, (flat_at + members).ravel(), nbr, weight,
+                                 spatial["wplus"][members], y.take(members, axis=1))
+                                for members, nbr, weight in spatial["classes"]]
+            self.edges = (spatial["ei"], spatial["ej"], spatial["ew"])
+            self.component_count = spatial["component_count"]
+            self.inactive = ~spatial["active"]
+            self.exact_recenter = spatial["exact_recenter"]
 
 
-def _row_sd(v):
-    """Row-wise v.std(ddof=1), bit for bit, without the method's per-call overhead."""
-    n = v.shape[1]
-    dev = v - (np.add.reduce(v, axis=1) / n)[:, None]
-    return np.sqrt(np.add.reduce(dev * dev, axis=1) / (n - 1))
+class _State:
+    """The chains' current values, one row per chain: parameters, the linear
+    predictor psi, its clamped copy psic, lam = exp(psic), and acceptance
+    counts."""
+
+    def __init__(self, beta, theta, phi, sigma2, tau):
+        self.beta, self.theta, self.phi = beta, theta, phi
+        self.sigma2, self.tau = sigma2, tau
+        self.acc_beta = np.zeros(beta.shape)
+        self.acc_theta = np.zeros(theta.shape)
+        self.acc_phi = np.zeros(phi.shape)
+
+    def set_psi(self, psi):
+        """Take psi and derive its clamped copy and lambda from it."""
+        self.psi = psi
+        self.psic = _clamp(psi)
+        self.lam = np.exp(self.psic)
 
 
-def _row_dot(a, b):
-    """Per-row a[k] @ b[k], each the dot product a lone chain takes."""
-    return np.array([float(u @ v) for u, v in zip(a, b)])
+def _refresh(s, t):
+    """Recompute psi from the parameters, dropping incremental drift."""
+    psi = np.stack([x @ b for x, b in zip(t.Xc, s.beta)]) + s.theta + s.phi
+    if t.offset is not None:
+        psi = psi + t.offset
+    s.set_psi(psi)
 
 
-def _run_chains(seeds, y, Xc, offset, spatial, spec, config, beta_center, beta_se, debug):
+def _update_beta(s, t, z, u, scale):
+    """Scalar random-walk Metropolis on each coefficient in turn."""
+    # A coefficient's proposal, prior ratio and shift of psi do not depend
+    # on the moves before it in the sweep, so they are formed up front.
+    prop = s.beta + scale * z
+    move = (prop - s.beta).T
+    shift = t.XcT * move[:, :, None]
+    dprior = _gauss_log_ratio(prop - t.prior_mean, s.beta - t.prior_mean, t.prior_var).T
+    # In a chain whose largest |psi| plus all proposed moves stays inside
+    # the clamp, clipping is the identity and the likelihood gain
+    # y @ (psi_new - psi) of move j is move * (y @ X_j).
+    clip_free = (np.abs(s.psi).max(axis=1) + np.add.reduce(np.abs(move) * t.col_reach, axis=0)
+                 < PSI_CLAMP * (1.0 - 1e-9))
+    all_free = clip_free.all()
+    # Move j is taken where lam_sum_new - lam_sum - gain < dprior - log u.
+    slack = dprior - np.log(u).T
+    np.add(slack, move * t.y_x, out=slack, where=clip_free)
+    took = []
+    psi = s.psi
+    lam_sum = np.add.reduce(s.lam, axis=1)
+    for j in range(len(move)):
+        psi_new = psi + shift[j]
+        psic_new = psi_new if all_free else _clamp(psi_new)
+        lam_new_sum = np.add.reduce(np.exp(psic_new), axis=1)
+        d_lam = lam_new_sum - lam_sum
+        if not all_free:
+            gain = np.add.reduce(t.y * (psic_new - _clamp(psi)), axis=1)
+            np.subtract(d_lam, gain, out=d_lam, where=~clip_free)
+        take = d_lam < slack[j]
+        took.append(take)
+        np.copyto(psi, psi_new, where=take[:, None])
+        np.copyto(lam_sum, lam_new_sum, where=take)
+    s.set_psi(psi)
+    took = np.array(took).T
+    np.copyto(s.beta, prop, where=took)
+    s.acc_beta += took
+
+
+def _shift_effect(s, effect, acc, cur, prop, log_prior_ratio, y, logu, cols=None):
+    """Metropolis step moving effect from cur to prop elementwise, with psi,
+    psic and lam moving alongside.  cols is None for every zone, else the
+    (members, flat positions) of a subset; cur, prop, y and logu hold those
+    columns only."""
+    if cols is None:
+        psi, psic, lam = s.psi, s.psic, s.lam
+    else:
+        members, flat = cols
+        psi, psic, lam = (s.psi.take(members, axis=1), s.psic.take(members, axis=1),
+                          s.lam.take(members, axis=1))
+    psi_new = psi + (prop - cur)
+    psic_new = _clamp(psi_new)
+    lam_new = np.exp(psic_new)
+    delta = _loglik_terms(y, psic_new - psic, lam_new - lam) + log_prior_ratio
+    take = logu < delta
+    moves = ((effect, cur, prop), (s.psi, psi, psi_new), (s.psic, psic, psic_new),
+             (s.lam, lam, lam_new))
+    # Whole arrays take the moves in place; a subset is scattered back.
+    if cols is None:
+        for dst, _, new in moves:
+            np.copyto(dst, new, where=take)
+        acc += take
+    else:
+        for dst, old, new in moves:
+            dst.put(flat, np.where(take, new, old))
+        acc.put(flat, acc.take(flat) + take.ravel())
+
+
+def _update_theta(s, t, z, u, scale):
+    """The heterogeneity effects are conditionally independent: one joint step."""
+    prop = s.theta + scale * z
+    _shift_effect(s, s.theta, s.acc_theta, s.theta, prop,
+                  _gauss_log_ratio(prop, s.theta, s.sigma2[:, None]), t.y, np.log(u))
+
+
+def _update_phi(s, t, z, u, scale):
+    """One joint step per coloring class: no two members are neighbours."""
+    logu = np.log(u)
+    move = scale * z
+    half_tau = 0.5 * s.tau[:, None]
+    for members, flat, nbr, weight, wplus, y_m in t.phi_classes:
+        mean = _car_mean(s.phi, nbr, weight, wplus)
+        cur = s.phi.take(members, axis=1)
+        prop = cur + move.take(members, axis=1)
+        _shift_effect(s, s.phi, s.acc_phi, cur, prop,
+                      _car_log_ratio(prop, cur, mean, half_tau, wplus), y_m,
+                      logu.take(members, axis=1), (members, flat))
+
+
+def _update_hyper(s, t, g_sigma, g_tau):
+    """Conjugate draws from standard gamma variates g of the posterior shapes."""
+    if t.sample_sigma:
+        s.sigma2 = _sigma_theta_posterior(s.theta, t.spec.sigma_theta_prior)[1] / g_sigma
+    if t.sample_tau:
+        s.tau = g_tau / _tau_c_posterior(s.phi, *t.edges, t.component_count,
+                                         t.spec.tau_c_prior)[1]
+
+
+def _recenter(s, t):
+    """Center phi on each component; the intercept absorbs the removed mean."""
+    if t.exact_recenter:
+        s.beta[:, 0] += _center_rows(s.phi, *t.components[0])
+    else:
+        for members, flat in t.components:
+            _center_rows(s.phi, members, flat)
+        # Projection without compensation: with several components
+        # (or islands) a single intercept cannot absorb the means.
+        _refresh(s, t)
+
+
+def _run_chains(seeds, y, Xc, offset, spatial, spec, config, beta_center, beta_se, labels):
     """Run one chain per seed, all chains advancing together sweep by sweep.
 
     Chain k samples data set k: counts y[k], centred design Xc[k] (n x p),
@@ -365,65 +494,34 @@ def _run_chains(seeds, y, Xc, offset, spatial, spec, config, beta_center, beta_s
     rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
     K = len(rngs)
     n, p = Xc[0].shape
-    XcT = np.stack([x.T for x in Xc], axis=1)  # (p, K, n): XcT[j] is column j of each design
-    col_reach = np.abs(XcT).max(axis=2)
-    y_x = np.stack([XcT[:, k] @ y[k] for k in range(K)], axis=1)
-    lgamma_const = np.add.reduce(gammaln(y + 1.0), axis=1)
-
-    has_theta = spec.include_theta
-    has_phi = spec.include_phi and spatial is not None
-    sample_sigma = has_theta and spec.fixed_sigma_theta2 is None
-    sample_tau = has_phi and spec.fixed_tau_c is None
-
-    prior_mean = np.array([spec.prior_for(lbl).mean for lbl in beta_se["labels"]])
-    prior_var = np.array([spec.prior_for(lbl).variance for lbl in beta_se["labels"]])
+    t = _Target(y, Xc, offset, spatial, spec, labels)
 
     # Overdispersed starts around the maximum-likelihood centers.
     beta = np.empty((K, p))
     theta = np.zeros((K, n))
     phi = np.zeros((K, n))
     for k, rng in enumerate(rngs):
-        beta[k] = beta_center[k] + 2.0 * beta_se["se"][k] * rng.standard_normal(p)
-        if has_theta:
+        beta[k] = beta_center[k] + 2.0 * beta_se[k] * rng.standard_normal(p)
+        if t.has_theta:
             theta[k] = 0.01 * rng.standard_normal(n)
-        if has_phi:
+        if t.has_phi:
             phi[k] = 0.01 * rng.standard_normal(n)
-    if has_phi:
-        # Gathers use take(axis=1), which keeps rows contiguous, so row sums
-        # add up in the order a lone chain's sums do; scatters put values at
-        # flat positions k * n + i.
-        flat_at = n * np.arange(K)[:, None]
-        components = [(members, (flat_at + members).ravel())
-                      for members in spatial["comp_members"]]
-        # Per coloring class: members, their neighbours, row sums and counts.
-        phi_classes = [(members, (flat_at + members).ravel(), nbr, weight,
-                        spatial["wplus"][members], y.take(members, axis=1))
-                       for members, nbr, weight in spatial["classes"]]
-        phi[:, ~spatial["active"]] = 0.0
-        for members, flat in components:
+    if t.has_phi:
+        phi[:, t.inactive] = 0.0
+        for members, flat in t.components:
             _center_rows(phi, members, flat)
-    sigma2 = np.full(K, spec.fixed_sigma_theta2 if spec.fixed_sigma_theta2 is not None else 0.1)
-    tau = np.full(K, spec.fixed_tau_c if spec.fixed_tau_c is not None else 1.0)
+    s = _State(beta, theta, phi,
+               np.full(K, spec.fixed_sigma_theta2 if spec.fixed_sigma_theta2 is not None else 0.1),
+               np.full(K, spec.fixed_tau_c if spec.fixed_tau_c is not None else 1.0))
+    _refresh(s, t)
 
-    beta_scale = np.maximum(2.4 * np.asarray(beta_se["se"]), 1e-3)
+    beta_scale = np.maximum(2.4 * np.asarray(beta_se), 1e-3)
     theta_scale = np.full((K, n), 0.5)
     phi_scale = np.full((K, n), 0.5)
-
-    if sample_sigma:
-        sigma_shape = spec.sigma_theta_prior.shape + n / 2.0
-    if sample_tau:
-        tau_shape = (spec.tau_c_prior.shape
-                     + (n - spatial["component_count"]) / 2.0)
-
-    def fresh_psi():
-        out = np.stack([x @ b for x, b in zip(Xc, beta)]) + theta + phi
-        if offset is not None:
-            out = out + offset
-        return out
-
-    psi = fresh_psi()
-    psic = _clip(psi)
-    lam = np.exp(psic)
+    if t.sample_sigma:
+        sigma_shape = _sigma_theta_posterior(theta, spec.sigma_theta_prior)[0]
+    if t.sample_tau:
+        tau_shape = _tau_c_posterior(phi, *t.edges, t.component_count, spec.tau_c_prior)[0]
 
     total = config.burn_in + config.iters
     kept = len(range(config.burn_in, total, config.thin))
@@ -431,16 +529,13 @@ def _run_chains(seeds, y, Xc, offset, spatial, spec, config, beta_center, beta_s
     draws_sigma2 = np.empty((K, kept))
     draws_tau = np.empty((K, kept))
     draws_dev = np.empty((K, kept))
-    draws_alpha = np.full((K, kept), np.nan)
+    draws_alpha = np.empty((K, kept))
     sum_theta = np.zeros((K, n))
     sum_phi = np.zeros((K, n))
     sum_lam = np.zeros((K, n))
 
-    acc_beta = np.zeros((K, p))
-    acc_theta = np.zeros((K, n))
-    acc_phi = np.zeros((K, n))
     # Acceptance counts at the start of the current adaptation batch.
-    batch_start = (acc_beta.copy(), acc_theta.copy(), acc_phi.copy())
+    batch_start = (s.acc_beta.copy(), s.acc_theta.copy(), s.acc_phi.copy())
     clamp_events = np.zeros(K, dtype=int)
     adaptation_frozen = False
     kept_idx = 0
@@ -450,197 +545,83 @@ def _run_chains(seeds, y, Xc, offset, spatial, spec, config, beta_center, beta_s
     z_phi, u_phi = np.empty((K, n)), np.empty((K, n))
     g_sigma, g_tau = np.empty(K), np.empty(K)
 
-    for t in range(total):
-        in_burn = t < config.burn_in
+    for sweep in range(total):
+        in_burn = sweep < config.burn_in
 
         # Each chain's random numbers for the sweep, in a lone chain's order.
         for k, rng in enumerate(rngs):
             rng.standard_normal(out=z_beta[k])
             rng.random(out=u_beta[k])
-            if has_theta:
+            if t.has_theta:
                 rng.standard_normal(out=z_theta[k])
                 rng.random(out=u_theta[k])
-            if has_phi:
+            if t.has_phi:
                 rng.standard_normal(out=z_phi[k])
                 rng.random(out=u_phi[k])
-            if sample_sigma:
+            if t.sample_sigma:
                 g_sigma[k] = rng.standard_gamma(sigma_shape)
-            if sample_tau:
+            if t.sample_tau:
                 g_tau[k] = rng.standard_gamma(tau_shape)
 
-        # --- regression coefficients: scalar random walks ---
-        # A coefficient's proposal, prior ratio and shift of psi do not depend
-        # on the moves before it in the sweep, so they are formed up front.
-        prop = beta + beta_scale * z_beta
-        move = (prop - beta).T
-        shift = XcT * move[:, :, None]
-        dprior = (-((prop - prior_mean) ** 2 - (beta - prior_mean) ** 2)
-                  / (2.0 * prior_var)).T
-        # In a chain whose largest |psi| plus all proposed moves stays inside
-        # the clamp, clipping is the identity and the likelihood gain
-        # y @ (psi_new - psi) of move j is move * (y @ X_j).
-        clip_free = (np.abs(psi).max(axis=1) + np.add.reduce(np.abs(move) * col_reach, axis=0)
-                     < PSI_CLAMP * (1.0 - 1e-9))
-        all_free = clip_free.all()
-        # Move j is taken where lam_sum_new - lam_sum - gain < dprior - log u.
-        slack = dprior - np.log(u_beta).T
-        np.add(slack, move * y_x, out=slack, where=clip_free)
-        took = []
-        lam_sum = np.add.reduce(lam, axis=1)
-        for j in range(p):
-            psi_new = psi + shift[j]
-            psic_new = psi_new if all_free else _clip(psi_new)
-            lam_new_sum = np.add.reduce(np.exp(psic_new), axis=1)
-            d_lam = lam_new_sum - lam_sum
-            if not all_free:
-                gain = np.add.reduce(y * (psic_new - _clip(psi)), axis=1)
-                np.subtract(d_lam, gain, out=d_lam, where=~clip_free)
-            take = d_lam < slack[j]
-            took.append(take)
-            np.copyto(psi, psi_new, where=take[:, None])
-            np.copyto(lam_sum, lam_new_sum, where=take)
-        psic = _clip(psi)
-        lam = np.exp(psic)
-        took = np.array(took).T
-        np.copyto(beta, prop, where=took)
-        acc_beta += took
+        _update_beta(s, t, z_beta, u_beta, beta_scale)
+        if t.has_theta:
+            _update_theta(s, t, z_theta, u_theta, theta_scale)
+        if t.has_phi:
+            _update_phi(s, t, z_phi, u_phi, phi_scale)
+        _update_hyper(s, t, g_sigma, g_tau)
+        if t.has_phi:
+            _recenter(s, t)
 
-        # --- heterogeneity effects: conditionally independent, one shot ---
-        if has_theta:
-            prop = theta + theta_scale * z_theta
-            psi_new = psi + (prop - theta)
-            psic_new = _clip(psi_new)
-            lam_new = np.exp(psic_new)
-            delta = (y * (psic_new - psic) - (lam_new - lam)
-                     - (prop * prop - theta * theta) / (2.0 * sigma2)[:, None])
-            take = np.log(u_theta) < delta
-            np.copyto(theta, prop, where=take)
-            np.copyto(psi, psi_new, where=take)
-            np.copyto(psic, psic_new, where=take)
-            np.copyto(lam, lam_new, where=take)
-            acc_theta += take
-
-        # --- spatial effects: vectorized over coloring classes ---
-        if has_phi:
-            logu = np.log(u_phi)
-            phi_move = phi_scale * z_phi
-            half_tau = 0.5 * tau[:, None]
-            for members, flat, nbr, weight, wplus, y_m in phi_classes:
-                m = np.add.reduce(phi.take(nbr, axis=1) * weight, axis=1) / wplus
-                cur = phi.take(members, axis=1)
-                prop = cur + phi_move.take(members, axis=1)
-                psi_m, psic_m, lam_m = (v.take(members, axis=1) for v in (psi, psic, lam))
-                psi_new = psi_m + (prop - cur)
-                psic_new = _clip(psi_new)
-                lam_new = np.exp(psic_new)
-                delta = (y_m * (psic_new - psic_m)
-                         - (lam_new - lam_m)
-                         - half_tau * wplus * ((prop - m) ** 2 - (cur - m) ** 2))
-                take = logu.take(members, axis=1) < delta
-                phi.put(flat, np.where(take, prop, cur))
-                psi.put(flat, np.where(take, psi_new, psi_m))
-                psic.put(flat, np.where(take, psic_new, psic_m))
-                lam.put(flat, np.where(take, lam_new, lam_m))
-                acc_phi.put(flat, acc_phi.take(flat) + take.ravel())
-
-        # --- conjugate hyperparameter draws ---
-        if sample_sigma:
-            rate = spec.sigma_theta_prior.rate + _row_dot(theta, theta) / 2.0
-            sigma2 = rate / g_sigma
-        if sample_tau:
-            d = phi.take(spatial["ei"], axis=1) - phi.take(spatial["ej"], axis=1)
-            s_quad = np.add.reduce(spatial["ew"] * d * d, axis=1)
-            rate = spec.tau_c_prior.rate + s_quad / 2.0
-            tau = g_tau / rate
-
-        # --- re-center phi; the intercept absorbs the removed mean ---
-        if has_phi:
-            if debug and spatial["exact_recenter"]:
-                ll_before = _row_dot(y, psic) - np.add.reduce(lam, axis=1)
-            if spatial["exact_recenter"]:
-                beta[:, 0] += _center_rows(phi, *components[0])
-            else:
-                for members, flat in components:
-                    _center_rows(phi, members, flat)
-                # Projection without compensation: with several components
-                # (or islands) a single intercept cannot absorb the means.
-                psi = fresh_psi()
-                psic = _clip(psi)
-                lam = np.exp(psic)
-            if debug and spatial["exact_recenter"]:
-                p2c = _clip(fresh_psi())
-                ll_after = _row_dot(y, p2c) - np.add.reduce(np.exp(p2c), axis=1)
-                for before, after in zip(ll_before, ll_after):
-                    if abs(after - before) > 1e-6 * max(1.0, abs(before)):
-                        raise AssertionError(
-                            f"re-centering changed the likelihood: {before} -> {after}")
-
-        size = np.abs(psi)
+        size = np.abs(s.psi)
         clamp_events += np.add.reduce(size > PSI_CLAMP, axis=1)
-
-        if not (size.max() < np.inf and np.isfinite(beta).all()
-                and sigma2.min() > 0 and tau.min() > 0):
-            healthy = (np.isfinite(psi).all(axis=1) & np.isfinite(beta).all(axis=1)
-                       & (sigma2 > 0) & (tau > 0))
+        if not (size.max() < np.inf and np.isfinite(s.beta).all()
+                and s.sigma2.min() > 0 and s.tau.min() > 0):
+            healthy = (np.isfinite(s.psi).all(axis=1) & np.isfinite(s.beta).all(axis=1)
+                       & (s.sigma2 > 0) & (s.tau > 0))
             k = int(np.argmin(healthy))
             raise McmcDivergenceError(
-                f"chain {k} diverged at sweep {t}: "
-                f"max|psi|={np.abs(psi[k]).max():.3g}, sigma2={sigma2[k]:.3g}, "
-                f"tau={tau[k]:.3g}")
+                f"chain {k} diverged at sweep {sweep}: "
+                f"max|psi|={np.abs(s.psi[k]).max():.3g}, sigma2={s.sigma2[k]:.3g}, "
+                f"tau={s.tau[k]:.3g}")
 
         # --- proposal adaptation, burn-in only ---
-        if in_burn and (t + 1) % _ADAPT_BATCH == 0:
-            batch = (t + 1) // _ADAPT_BATCH
+        if in_burn and (sweep + 1) % _ADAPT_BATCH == 0:
+            batch = (sweep + 1) // _ADAPT_BATCH
             step = min(0.1, 1.0 / math.sqrt(batch))
-            rates = [(acc - start) / _ADAPT_BATCH
-                     for acc, start in zip((acc_beta, acc_theta, acc_phi), batch_start)]
+            counts = (s.acc_beta, s.acc_theta, s.acc_phi)
+            rates = [(acc - start) / _ADAPT_BATCH for acc, start in zip(counts, batch_start)]
             beta_scale *= np.exp(np.where(rates[0] > config.target_accept, step, -step))
-            if has_theta:
+            if t.has_theta:
                 theta_scale *= np.exp(np.where(rates[1] > config.target_accept, step, -step))
-            if has_phi:
+            if t.has_phi:
                 phi_scale *= np.exp(np.where(rates[2] > config.target_accept, step, -step))
-            batch_start = (acc_beta.copy(), acc_theta.copy(), acc_phi.copy())
-        if t == config.burn_in - 1:
+            batch_start = tuple(acc.copy() for acc in counts)
+        if sweep == config.burn_in - 1:
             adaptation_frozen = True
 
         # Periodic refresh keeps incremental psi from drifting.
-        if (t + 1) % _PSI_REFRESH == 0:
-            psi = fresh_psi()
-            psic = _clip(psi)
-            lam = np.exp(psic)
+        if (sweep + 1) % _PSI_REFRESH == 0:
+            _refresh(s, t)
 
-        if not in_burn and (t - config.burn_in) % config.thin == 0:
-            draws_beta[:, kept_idx] = beta
-            draws_sigma2[:, kept_idx] = sigma2
-            draws_tau[:, kept_idx] = tau
-            draws_dev[:, kept_idx] = -2.0 * (_row_dot(y, psic) - np.add.reduce(lam, axis=1)
-                                             - lgamma_const)
-            if n > 1:
-                sd_t, sd_p = _row_sd(theta), _row_sd(phi)
-                spread = sd_t + sd_p
-                np.divide(sd_p, spread, out=draws_alpha[:, kept_idx], where=spread > 0)
-            sum_theta += theta
-            sum_phi += phi
-            sum_lam += lam
+        if not in_burn and (sweep - config.burn_in) % config.thin == 0:
+            draws_beta[:, kept_idx] = s.beta
+            draws_sigma2[:, kept_idx] = s.sigma2
+            draws_tau[:, kept_idx] = s.tau
+            draws_dev[:, kept_idx] = -2.0 * _row_loglik(t.y, s.psic, s.lam, t.lgamma_y)
+            draws_alpha[:, kept_idx] = _alpha_share(s.theta, s.phi)
+            sum_theta += s.theta
+            sum_phi += s.phi
+            sum_lam += s.lam
             kept_idx += 1
 
-    denom = config.burn_in + config.iters
-    return [{
-        "beta": draws_beta[k],
-        "sigma2": draws_sigma2[k],
-        "tau": draws_tau[k],
-        "dev": draws_dev[k],
-        "alpha": draws_alpha[k],
-        "sum_theta": sum_theta[k],
-        "sum_phi": sum_phi[k],
-        "sum_lam": sum_lam[k],
-        "kept": kept,
-        "acc_beta": acc_beta[k] / denom,
-        "acc_theta": acc_theta[k] / denom if has_theta else None,
-        "acc_phi": acc_phi[k] / denom if has_phi else None,
-        "clamp_events": int(clamp_events[k]),
-        "adaptation_frozen": adaptation_frozen,
-    } for k in range(K)]
+    if not adaptation_frozen:
+        raise AssertionError("proposal adaptation was not frozen after burn-in")
+    # One row per chain in each array.
+    return {"beta": draws_beta, "sigma2": draws_sigma2, "tau": draws_tau, "dev": draws_dev,
+            "alpha": draws_alpha, "sum_theta": sum_theta, "sum_phi": sum_phi,
+            "sum_lam": sum_lam, "acc_beta": s.acc_beta / total,
+            "acc_theta": s.acc_theta / total, "acc_phi": s.acc_phi / total,
+            "clamp_events": clamp_events}
 
 
 def _summary_row(pooled, per_chain, significant_candidate=True):
@@ -660,20 +641,17 @@ def _summary_row(pooled, per_chain, significant_candidate=True):
     return row
 
 
-def fit(y, design, W, spec: ModelSpec = None, config: McmcConfig = None,
-        threads: int = None, debug: bool = False) -> PosteriorReport:
+def fit(y, design, W, spec: ModelSpec = None, config: McmcConfig = None) -> PosteriorReport:
     """Fit the model by MCMC and assemble the posterior report.
 
     Chains start from spawned sub-seeds, advance together in one batched
-    sampler and are merged in chain order.  ``threads`` is accepted for
-    compatibility and has no effect.  A run whose R-hat exceeds the
+    sampler and are merged in chain order.  A run whose R-hat exceeds the
     threshold comes back with converged=False rather than raising.
     """
-    return fit_batch([(y, design)], W, spec, [config], debug=debug)[0]
+    return fit_batch([(y, design)], W, spec, [config])[0]
 
 
-def fit_batch(datasets, W, spec: ModelSpec = None, configs=None,
-              debug: bool = False) -> list:
+def fit_batch(datasets, W, spec: ModelSpec = None, configs=None) -> list:
     """Fit several (y, design) data sets on one proximity matrix, running the
     chains of all of them in one batched sampler.  configs (one per data set,
     default McmcConfig()) may differ in seed only.  Each report equals the
@@ -704,10 +682,10 @@ def fit_batch(datasets, W, spec: ModelSpec = None, configs=None,
         else np.stack([np.zeros(n) if o is None else o for o in offsets]),
         spatial, spec, config,
         np.stack([inp["beta_hat"] for _, inp in chains]),
-        {"se": np.stack([inp["se"] for _, inp in chains]), "labels": inputs[0]["labels"]},
-        debug)
+        np.stack([inp["se"] for _, inp in chains]), inputs[0]["labels"])
     k = config.chains
-    return [_assemble(results[i * k:(i + 1) * k], inp, spatial, spec, c)
+    return [_assemble({name: v[i * k:(i + 1) * k] for name, v in results.items()},
+                      inp, spatial, spec, c)
             for i, (inp, c) in enumerate(zip(inputs, configs))]
 
 
@@ -749,15 +727,16 @@ def _fit_inputs(y, design, W, spec) -> dict:
             "Xc": Xc, "beta_hat": beta_hat, "se": se, "spatial": spatial}
 
 
-def _assemble(results, inp, spatial, spec, config) -> PosteriorReport:
-    """Merge one data set's chains, in chain order, into its posterior report."""
+def _assemble(res, inp, spatial, spec, config) -> PosteriorReport:
+    """Merge one data set's chains (the rows of res), in chain order, into its
+    posterior report."""
     y, design, labels = inp["y"], inp["design"], inp["labels"]
     n, p, center, Xc, offset = inp["n"], inp["p"], inp["center"], inp["Xc"], inp["offset"]
 
     # Map design-scale draws back to raw covariate scale per chain.
     raw_beta = []
-    for res in results:
-        b = res["beta"].copy()
+    for b in res["beta"]:
+        b = b.copy()
         if p > 1:
             b[:, 0] -= b[:, 1:] @ center
         if design.standardized:
@@ -775,21 +754,19 @@ def _assemble(results, inp, spatial, spec, config) -> PosteriorReport:
 
     rhat_values = [parameters[label]["rhat"] for label in labels]
     if spec.include_phi and spec.fixed_tau_c is None:
-        pooled_tau = np.concatenate([r["tau"] for r in results])
-        parameters["tau_c"] = _summary_row(pooled_tau, [r["tau"] for r in results],
+        parameters["tau_c"] = _summary_row(res["tau"].ravel(), list(res["tau"]),
                                            significant_candidate=False)
         rhat_values.append(parameters["tau_c"]["rhat"])
     if spec.include_theta and spec.fixed_sigma_theta2 is None:
-        pooled_s2 = np.concatenate([r["sigma2"] for r in results])
-        parameters["sigma_theta2"] = _summary_row(pooled_s2, [r["sigma2"] for r in results],
+        parameters["sigma_theta2"] = _summary_row(res["sigma2"].ravel(), list(res["sigma2"]),
                                                   significant_candidate=False)
         # The precision 1/sigma^2 is reported alongside the variance.
         parameters["precision_theta"] = _summary_row(
-            1.0 / pooled_s2, [1.0 / r["sigma2"] for r in results],
+            1.0 / res["sigma2"].ravel(), list(1.0 / res["sigma2"]),
             significant_candidate=False)
         rhat_values.append(parameters["sigma_theta2"]["rhat"])
 
-    pooled_alpha = np.concatenate([r["alpha"] for r in results])
+    pooled_alpha = res["alpha"].ravel()
     valid_alpha = pooled_alpha[np.isfinite(pooled_alpha)]
     if valid_alpha.size:
         q025, q975 = np.quantile(valid_alpha, [0.025, 0.975])
@@ -799,18 +776,18 @@ def _assemble(results, inp, spatial, spec, config) -> PosteriorReport:
     else:
         alpha_summary = {"mean": None, "sd": None, "q025": None, "q975": None}
 
-    kept_total = sum(r["kept"] for r in results)
-    mean_theta = sum(r["sum_theta"] for r in results) / kept_total
-    mean_phi = sum(r["sum_phi"] for r in results) / kept_total
-    mean_lam = sum(r["sum_lam"] for r in results) / kept_total
+    kept_total = res["dev"].size
+    mean_theta = sum(res["sum_theta"]) / kept_total
+    mean_phi = sum(res["sum_phi"]) / kept_total
+    mean_lam = sum(res["sum_lam"]) / kept_total
 
     # Deviance at the posterior means of all latent quantities.
-    mean_beta_design = np.vstack([r["beta"] for r in results]).mean(axis=0)
+    mean_beta_design = res["beta"].reshape(-1, p).mean(axis=0)
     psi_at_mean = Xc @ mean_beta_design + mean_theta + mean_phi
     if offset is not None:
         psi_at_mean = psi_at_mean + offset
-    lam_at_mean = np.exp(np.clip(psi_at_mean, -PSI_CLAMP, PSI_CLAMP))
-    pooled_dev = np.concatenate([r["dev"] for r in results])
+    lam_at_mean = np.exp(_clamp(psi_at_mean))
+    pooled_dev = res["dev"].ravel()
     dic_res = evaluate.dic(pooled_dev, y, lam_at_mean)
 
     try:
@@ -818,12 +795,12 @@ def _assemble(results, inp, spatial, spec, config) -> PosteriorReport:
     except DomainError:
         r2 = float("nan")
 
-    acceptance = {"beta": float(np.mean([r["acc_beta"].mean() for r in results]))}
-    if results[0]["acc_theta"] is not None:
-        acceptance["theta"] = float(np.mean([r["acc_theta"].mean() for r in results]))
-    if results[0]["acc_phi"] is not None:
+    acceptance = {"beta": float(np.mean([a.mean() for a in res["acc_beta"]]))}
+    if spec.include_theta:
+        acceptance["theta"] = float(np.mean([a.mean() for a in res["acc_theta"]]))
+    if spatial is not None:
         active = spatial["active"]
-        acceptance["phi"] = float(np.mean([r["acc_phi"][active].mean() for r in results]))
+        acceptance["phi"] = float(np.mean([a[active].mean() for a in res["acc_phi"]]))
 
     finite_rhats = [v for v in rhat_values if v is not None]
     converged = all(v <= config.bgr_threshold for v in finite_rhats)
@@ -834,8 +811,6 @@ def _assemble(results, inp, spatial, spec, config) -> PosteriorReport:
     if spatial is not None and spatial["islands"]:
         notes.append(f"{spatial['islands']} island zone(s): phi pinned at 0, "
                      "excluded from the sum-to-zero constraint")
-    if not all(r["adaptation_frozen"] for r in results):
-        raise AssertionError("proposal adaptation was not frozen after burn-in")
 
     return PosteriorReport(
         parameters=parameters,
@@ -848,7 +823,7 @@ def _assemble(results, inp, spatial, spec, config) -> PosteriorReport:
         acceptance=acceptance,
         rhat_threshold=config.bgr_threshold,
         converged=bool(converged),
-        clamp_events=int(sum(r["clamp_events"] for r in results)),
+        clamp_events=int(res["clamp_events"].sum()),
         seed=config.seed,
         config=config.to_dict(),
         n_zones=int(n),

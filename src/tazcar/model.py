@@ -12,6 +12,7 @@ absorbing the spatial mean.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -24,8 +25,6 @@ from .weights import ADJACENCY, MODES, ProximityMatrix
 # Linear predictor clamp: |psi| above this is clipped and counted as a
 # divergence event rather than allowed to overflow exp().
 PSI_CLAMP = 30.0
-
-PHI_SUM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -84,10 +83,10 @@ class ModelSpec:
         for label, prior in self.coef_priors.items():
             if not isinstance(prior, NormalPrior):
                 raise ValidationError(f"coef prior for {label!r} must be a NormalPrior")
-        if self.fixed_tau_c is not None and not self.fixed_tau_c > 0:
-            raise ValidationError("fixed_tau_c must be > 0")
-        if self.fixed_sigma_theta2 is not None and not self.fixed_sigma_theta2 > 0:
-            raise ValidationError("fixed_sigma_theta2 must be > 0")
+        for name in ("fixed_tau_c", "fixed_sigma_theta2"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"{name} must be finite and > 0, got {value}")
 
     def prior_for(self, label: str) -> NormalPrior:
         return self.coef_priors.get(label, self.default_coef_prior)
@@ -132,64 +131,89 @@ class ModelSpec:
             return cls.from_dict(payload)
         except TypeError as exc:
             raise ValidationError(f"{path}: bad model spec field ({exc})") from None
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
 
 
-@dataclass
-class ModelState:
-    """One chain's current parameter values."""
-
-    beta: np.ndarray
-    theta: np.ndarray
-    phi: np.ndarray
-    sigma_theta2: float
-    tau_c: float
-
-    def validate(self, component_labels: np.ndarray = None) -> None:
-        n = len(self.theta)
-        if len(self.phi) != n:
-            raise ValidationError("theta and phi must have equal length")
-        if not self.sigma_theta2 > 0:
-            raise ValidationError("sigma_theta2 must be > 0")
-        if not self.tau_c > 0:
-            raise ValidationError("tau_c must be > 0")
-        if component_labels is not None:
-            for c in np.unique(component_labels):
-                s = self.phi[component_labels == c].sum()
-                if abs(s) > PHI_SUM_TOL * max(1, n):
-                    raise ValidationError(f"phi does not sum to zero on component {c}: {s}")
+def _clamp(psi):
+    """np.clip(psi, -PSI_CLAMP, PSI_CLAMP) without np.clip's per-call dispatch."""
+    return np.minimum(np.maximum(psi, -PSI_CLAMP), PSI_CLAMP)
 
 
-def clamp_psi(psi):
-    """Clip the linear predictor into [-PSI_CLAMP, PSI_CLAMP]; the second
-    return value counts clipped entries."""
-    arr = np.asarray(psi, dtype=float)
-    clipped = np.clip(arr, -PSI_CLAMP, PSI_CLAMP)
-    events = int(np.count_nonzero(np.abs(arr) > PSI_CLAMP))
-    if arr.ndim == 0:
-        return float(clipped), events
-    return clipped, events
+def _row_dot(a, b):
+    """Per-row a[k] @ b[k], each the dot product a lone row takes."""
+    return np.array([float(u @ v) for u, v in zip(a, b)])
 
 
-def linear_predictor(state: ModelState, design, i: int = None):
-    """psi and lambda = exp(psi) for one zone or all zones.
+def _row_sd(v):
+    """Row-wise v.std(ddof=1), bit for bit, without the method's per-call overhead."""
+    n = v.shape[1]
+    dev = v - (np.add.reduce(v, axis=1) / n)[:, None]
+    return np.sqrt(np.add.reduce(dev * dev, axis=1) / (n - 1))
 
-    Returns (psi, lam, diverged) where diverged flags clamp events.
-    """
-    matrix = design.matrix if hasattr(design, "matrix") else np.asarray(design)
-    if matrix.shape[1] != len(state.beta):
-        raise ValidationError(
-            f"design has {matrix.shape[1]} columns but beta has {len(state.beta)}")
-    if matrix.shape[0] != len(state.theta):
-        raise ValidationError(
-            f"design has {matrix.shape[0]} rows but theta has {len(state.theta)}")
-    offset = getattr(design, "offset", None)
-    psi = matrix @ state.beta + state.theta + state.phi
-    if offset is not None:
-        psi = psi + offset
-    if i is not None:
-        psi = psi[i]
-    psi, events = clamp_psi(psi)
-    return psi, np.exp(psi), events > 0
+
+# Row-wise kernels: rows are chains, columns zones.  The sampler calls them
+# every sweep and the public functions below are their one-row callers.
+
+def _loglik_terms(y, psi, lam):
+    """Pointwise y * psi - lam, the Poisson log-likelihood without its
+    factorial constant.  It is linear in (psi, lam), so passing the changes
+    of psi and lam gives the change of the log-likelihood."""
+    return y * psi - lam
+
+
+def _row_loglik(y, psic, lam, lgamma_y):
+    """Per-row Poisson log-likelihood at clamped psi and lam = exp(psic);
+    lgamma_y holds each row's sum of log(y!)."""
+    return _row_dot(y, psic) - np.add.reduce(lam, axis=1) - lgamma_y
+
+
+def _gauss_log_ratio(new, old, var):
+    """log N(new; 0, var) - log N(old; 0, var), elementwise."""
+    return (old ** 2 - new ** 2) / (2.0 * var)
+
+
+def _car_mean(phi, nbr, weight, wplus):
+    """CAR conditional means sum_j w_ij phi_j / w_i+ of the zones whose padded
+    neighbour tables nbr, weight (max degree x zones) are given; one row per
+    row of phi."""
+    return np.add.reduce(phi.take(nbr, axis=1) * weight, axis=1) / wplus
+
+
+def _car_log_ratio(new, old, mean, half_tau, wplus):
+    """Change of the ICAR log density when phi_i moves from old to new with
+    its neighbours fixed: the conditional is normal(mean, 1 / (tau w_i+)).
+    half_tau is the column tau / 2 of each row."""
+    return half_tau * wplus * ((old - mean) ** 2 - (new - mean) ** 2)
+
+
+def _icar_pairwise(phi, ei, ej, ew):
+    """Per-row sum over the edges (ei, ej, ew) of w_ij (phi_i - phi_j)^2."""
+    d = phi.take(ei, axis=1) - phi.take(ej, axis=1)
+    return np.add.reduce(ew * d * d, axis=1)
+
+
+def _sigma_theta_posterior(theta, prior: GammaPrior) -> tuple:
+    """Conjugate inverse-gamma shape and per-row rates for sigma_theta^2."""
+    return prior.shape + theta.shape[1] / 2.0, prior.rate + _row_dot(theta, theta) / 2.0
+
+
+def _tau_c_posterior(phi, ei, ej, ew, component_count: int, prior: GammaPrior) -> tuple:
+    """Conjugate gamma shape and per-row rates for tau_c: n - G degrees of
+    freedom for G connected components."""
+    return (prior.shape + (phi.shape[1] - component_count) / 2.0,
+            prior.rate + _icar_pairwise(phi, ei, ej, ew) / 2.0)
+
+
+def _alpha_share(theta, phi):
+    """Per-row sd(phi) / (sd(theta) + sd(phi)) across zones; NaN where both
+    sds are zero or there is a single zone."""
+    out = np.full(len(theta), np.nan)
+    if theta.shape[1] > 1:
+        sd_t, sd_p = _row_sd(theta), _row_sd(phi)
+        spread = sd_t + sd_p
+        np.divide(sd_p, spread, out=out, where=spread > 0)
+    return out
 
 
 def poisson_loglik(y, lam) -> float:
@@ -200,36 +224,13 @@ def poisson_loglik(y, lam) -> float:
         raise DomainError("lambda must be positive")
     if np.any(y < 0) or np.any(y != np.floor(y)):
         raise DomainError("y must be nonnegative integers")
-    return float(np.sum(y * np.log(lam) - lam - gammaln(y + 1.0)))
-
-
-def car_conditional(phi: np.ndarray, W: ProximityMatrix, tau_c: float, i: int) -> tuple:
-    """Conditional mean and variance of phi_i given its neighbors.
-
-    mean = sum_j (w_ij / w_i+) phi_j, variance = 1 / (tau_c * w_i+).
-    Island zones (w_i+ = 0) are pinned at zero: returns (0.0, 0.0).
-    """
-    if not tau_c > 0:
-        raise DomainError("tau_c must be > 0")
-    wplus = W.row_sums[i]
-    if wplus == 0:
-        return 0.0, 0.0
-    acc = 0.0
-    for a, b, w in W.triples:
-        if a == i:
-            acc += w * phi[b]
-        elif b == i:
-            acc += w * phi[a]
-    return float(acc / wplus), float(1.0 / (tau_c * wplus))
+    return float(np.sum(_loglik_terms(y, np.log(lam), lam) - gammaln(y + 1.0)))
 
 
 def icar_pairwise_sum(phi: np.ndarray, W: ProximityMatrix) -> float:
     """sum over unordered neighbor pairs of w_ij (phi_i - phi_j)^2."""
-    ii, jj, w = W.neighbor_arrays()
-    if len(w) == 0:
-        return 0.0
-    d = phi[ii] - phi[jj]
-    return float(np.sum(w * d * d))
+    phi = np.asarray(phi, dtype=float)
+    return float(_icar_pairwise(phi[None], *W.neighbor_arrays())[0])
 
 
 def icar_log_density_kernel(phi: np.ndarray, W: ProximityMatrix, tau_c: float,

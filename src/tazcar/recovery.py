@@ -74,14 +74,12 @@ class RecoveryResult:
 
 def run_recovery(truth: SimulationTruth = None, reps: int = 20, lattice: int = 13,
                  seed: int = 0, chains: int = 2, burn_in: int = 5000,
-                 iters: int = 10000, threads: int = None,
-                 spec: ModelSpec = None) -> RecoveryResult:
+                 iters: int = 10000, spec: ModelSpec = None) -> RecoveryResult:
     """Fit `reps` simulated datasets on an M x M lattice and score recovery.
 
     Replicate r uses simulation seed seed+r and fit seed seed+10000+r, so
     the whole experiment is reproducible from one seed.  Replicates are
-    fitted a few at a time in one batched sampler; ``threads`` is accepted
-    for compatibility and has no effect.
+    fitted a few at a time in one batched sampler.
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")

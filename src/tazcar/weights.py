@@ -8,11 +8,12 @@ coordinate triples with a dense export.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, located
 
 ADJACENCY = "adjacency"
 BOUNDARY_LENGTH = "boundary_length"
@@ -66,6 +67,24 @@ class ZoneTopology:
         object.__setattr__(self, "neighbor_pairs", tuple(norm))
 
 
+def _check_triple(triple, zone_count: int, seen: set) -> tuple:
+    """One weight entry as (a, b, w) with a < b, checked against the zone
+    count and the pairs in seen, to which it is added."""
+    i, j, w = triple
+    if i == j:
+        raise ValidationError(f"diagonal entry ({i}, {i}) not allowed")
+    for z in (i, j):
+        if not (0 <= z < zone_count):
+            raise ValidationError(f"zone id {z} out of range [0, {zone_count}) in pair ({i}, {j})")
+    if not (math.isfinite(w) and w >= 0):
+        raise ValidationError(f"weight {w} on pair ({i}, {j}) must be finite and >= 0")
+    a, b = (i, j) if i < j else (j, i)
+    if (a, b) in seen:
+        raise ValidationError(f"pair ({a}, {b}) appears twice")
+    seen.add((a, b))
+    return int(a), int(b), float(w)
+
+
 @dataclass
 class ProximityMatrix:
     """Symmetric nonnegative zone-by-zone weight matrix.
@@ -87,17 +106,10 @@ class ProximityMatrix:
         sums = np.zeros(self.zone_count)
         seen = set()
         norm = []
-        for i, j, w in self.triples:
-            if i == j:
-                raise ValidationError(f"diagonal entry ({i}, {i}) not allowed")
-            if w < 0:
-                raise ValidationError(f"negative weight {w} on pair ({i}, {j})")
-            a, b = (i, j) if i < j else (j, i)
-            if (a, b) in seen:
-                raise ValidationError(f"pair ({a}, {b}) appears twice")
-            seen.add((a, b))
+        for triple in self.triples:
+            a, b, w = _check_triple(triple, self.zone_count, seen)
             if w > 0:
-                norm.append((int(a), int(b), float(w)))
+                norm.append((a, b, w))
                 sums[a] += w
                 sums[b] += w
         self.triples = tuple(sorted(norm))
@@ -244,6 +256,7 @@ def read_weight_matrix(path) -> ProximityMatrix:
     ``mode NAME`` headers, then upper-triangle ``i j w`` lines (symmetric
     completion implied)."""
     triples = []
+    linenos = []
     zone_count = None
     mode = ADJACENCY
     max_id = -1
@@ -254,7 +267,10 @@ def read_weight_matrix(path) -> ProximityMatrix:
                 continue
             parts = text.split()
             if parts[0] == "zones" and len(parts) == 2:
-                zone_count = int(parts[1])
+                try:
+                    zone_count = int(parts[1])
+                except ValueError:
+                    raise ValidationError(f"{path}:{lineno}: bad zone count {parts[1]!r}") from None
                 continue
             if parts[0] == "mode" and len(parts) == 2:
                 mode = parts[1]
@@ -267,6 +283,7 @@ def read_weight_matrix(path) -> ProximityMatrix:
             except ValueError:
                 raise ValidationError(f"{path}:{lineno}: malformed entry {text!r}") from None
             triples.append((min(i, j), max(i, j), w))
+            linenos.append(lineno)
             max_id = max(max_id, i, j)
     if zone_count is None:
         zone_count = max_id + 1
@@ -275,7 +292,8 @@ def read_weight_matrix(path) -> ProximityMatrix:
     try:
         return ProximityMatrix(zone_count=zone_count, mode=mode, triples=tuple(triples))
     except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+        raise located(path, linenos, triples,
+                      lambda e, seen: _check_triple(e, zone_count, seen), exc) from None
 
 
 def write_weight_matrix(matrix: ProximityMatrix, path) -> None:

@@ -305,6 +305,18 @@ class TestEdgeListFormat:
         with pytest.raises(ValidationError, match=":2:"):
             read_edge_list(p)
 
+    @pytest.mark.parametrize("line,message", [
+        ("1 1", "self-loop on node 1"),
+        ("1 0", r"duplicate undirected edge \(0, 1\)"),
+        ("1 -1", "node id -1 out of range"),
+        ("2 7", r"node id 7 out of range \[0, 5\)"),
+    ])
+    def test_bad_edge_reports_lineno(self, tmp_path, line, message):
+        p = tmp_path / "net.edges"
+        p.write_text(f"nodes 5\n0 1\n\n{line}\n2 3\n")
+        with pytest.raises(ValidationError, match=rf"net\.edges:4: {message}"):
+            read_edge_list(p)
+
     @pytest.mark.parametrize("text", ["inf", "nan", "-0.5", "0", "1e400"])
     def test_bad_length_reports_lineno(self, tmp_path, text):
         p = tmp_path / "net.edges"

@@ -69,6 +69,14 @@ class TestCentralityCommand:
         assert result.exit_code == 2
         assert ":2:" in result.output
 
+    def test_self_loop_exit_2_with_lineno(self, runner, tmp_path):
+        p = tmp_path / "bad.edges"
+        p.write_text("0 1\n1 1\n1 2\n")
+        result = runner.invoke(main, ["centrality", "--graph", str(p)])
+        assert result.exit_code == 2
+        assert "bad.edges:2: self-loop on node 1" in result.output
+        assert isinstance(result.exception, SystemExit)
+
     @pytest.mark.parametrize("length", ["inf", "nan"])
     def test_non_finite_length_exit_2(self, runner, tmp_path, length):
         p = tmp_path / "bad.edges"
@@ -177,6 +185,17 @@ class TestFitCommand:
                                       "--burnin", "60", "--iters", "80", "--seed", "0"])
         assert result.exit_code == 4
         assert "converge" in result.output
+
+    @pytest.mark.parametrize("field", ["fixed_tau_c", "fixed_sigma_theta2"])
+    def test_infinite_fixed_hyperparameter_exit_2(self, runner, tmp_path, field):
+        data, _, topology = simulate_small(runner, tmp_path, seed=5, lattice=4)
+        spec = tmp_path / "spec.json"
+        spec.write_text(f'{{"{field}": Infinity}}')
+        result = runner.invoke(main, ["fit", "--data", str(data), "--weights", str(topology),
+                                      "--spec", str(spec), "--burnin", "10", "--iters", "10"])
+        assert result.exit_code == 2
+        assert f"spec.json: {field} must be finite and > 0" in result.output
+        assert isinstance(result.exception, SystemExit)
 
     def test_bad_dataset_exit_2(self, runner, tmp_path):
         data = tmp_path / "zones.csv"

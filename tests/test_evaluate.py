@@ -4,7 +4,6 @@ import pytest
 from tazcar.errors import DomainError, ValidationError
 from tazcar.evaluate import (
     alpha_spatial_share,
-    alpha_trace,
     compare_dic,
     deviance,
     dic,
@@ -13,6 +12,7 @@ from tazcar.evaluate import (
     r_squared,
     render_comparison,
 )
+from tazcar.model import _alpha_share
 
 
 class TestDeviance:
@@ -154,11 +154,13 @@ class TestAlpha:
             assert 0.0 <= a <= 1.0
 
     def test_trace_marks_undefined_as_nan(self):
+        # the sampler's per-draw kernel: one row per draw
         theta = np.array([[0.0, 1.0], [1.0, 1.0]])
         phi = np.array([[2.0, 0.0], [3.0, 3.0]])
-        out = alpha_trace(theta, phi)
+        out = _alpha_share(theta, phi)
         assert out[0] == pytest.approx(2.0 / 3.0)
         assert np.isnan(out[1])
+        assert np.isnan(_alpha_share(np.ones((2, 1)), np.zeros((2, 1)))).all()
 
 
 class TestPercentChange:

@@ -2,20 +2,24 @@ import json
 
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.special import gammaln
 
 from tazcar.errors import DomainError, ValidationError
 from tazcar.dataset import DesignMatrix
+from tazcar.mcmc import McmcConfig, _prepare_spatial, _refresh, _State, _Target, fit
 from tazcar.model import (
     GammaPrior,
     ModelSpec,
-    ModelState,
     NormalPrior,
     PSI_CLAMP,
-    car_conditional,
-    clamp_psi,
+    _car_log_ratio,
+    _car_mean,
+    _clamp,
+    _gauss_log_ratio,
+    _row_loglik,
     icar_log_density_kernel,
     icar_pairwise_sum,
-    linear_predictor,
     poisson_loglik,
 )
 from tazcar.weights import ADJACENCY, ProximityMatrix, ZoneTopology, build_weights
@@ -32,52 +36,57 @@ def make_design(x_rows):
     return DesignMatrix(matrix=x, labels=tuple(labels))
 
 
-def make_state(beta, theta, phi, sigma2=1.0, tau=1.0):
-    return ModelState(beta=np.asarray(beta, dtype=float),
-                      theta=np.asarray(theta, dtype=float),
-                      phi=np.asarray(phi, dtype=float),
-                      sigma_theta2=sigma2, tau_c=tau)
+def refreshed(beta, theta, phi, design):
+    """psi, psic and lam of one chain as the sampler's refresh computes them."""
+    spec = ModelSpec(include_phi=False)
+    y = np.zeros((1, len(theta)))
+    target = _Target(y, [design.matrix], None, None, spec, design.labels)
+    state = _State(np.array([beta], dtype=float), np.array([theta], dtype=float),
+                   np.array([phi], dtype=float), np.ones(1), np.ones(1))
+    _refresh(state, target)
+    return state.psi[0], state.psic[0], state.lam[0]
+
+
+def car_means(phi, W):
+    """CAR conditional means from the sampler's padded neighbour tables;
+    zones in no coloring class (islands) come back as NaN."""
+    spatial = _prepare_spatial(W, W.zone_count)
+    out = np.full(W.zone_count, np.nan)
+    for members, nbr, weight in spatial["classes"]:
+        rows = np.asarray(phi, dtype=float)[None]
+        out[members] = _car_mean(rows, nbr, weight, spatial["wplus"][members])[0]
+    return out
 
 
 class TestLinearPredictor:
     def test_all_zero(self):
-        design = make_design([[1.0, 0.0]])
-        state = make_state([0.0, 0.0], [0.0], [0.0])
-        psi, lam, diverged = linear_predictor(state, design, 0)
-        assert psi == 0.0 and lam == 1.0 and not diverged
+        psi, _, lam = refreshed([0.0, 0.0], [0.0], [0.0], make_design([[1.0, 0.0]]))
+        assert psi[0] == 0.0 and lam[0] == 1.0
 
     def test_hand_case(self):
-        design = make_design([[1.0, 2.0]])
-        state = make_state([0.5, 0.25], [0.1], [-0.1])
-        psi, lam, _ = linear_predictor(state, design, 0)
-        assert psi == pytest.approx(1.0)
-        assert lam == pytest.approx(np.e)
+        psi, _, lam = refreshed([0.5, 0.25], [0.1], [-0.1], make_design([[1.0, 2.0]]))
+        assert psi[0] == pytest.approx(1.0)
+        assert lam[0] == pytest.approx(np.e)
 
     def test_theta_shift_is_linear(self):
         design = make_design([[1.0, 2.0], [1.0, 0.5]])
-        state = make_state([0.3, -0.2], [0.1, 0.2], [0.0, 0.0])
-        psi_before, _, _ = linear_predictor(state, design)
-        state.theta = state.theta + 0.7
-        psi_after, _, _ = linear_predictor(state, design)
+        psi_before, _, _ = refreshed([0.3, -0.2], [0.1, 0.2], [0.0, 0.0], design)
+        psi_after, _, _ = refreshed([0.3, -0.2], [0.8, 0.9], [0.0, 0.0], design)
         np.testing.assert_allclose(psi_after - psi_before, 0.7)
 
     def test_clamp_flags_divergence(self):
-        design = make_design([[1.0]])
-        state = make_state([40.0], [0.0], [0.0])
-        psi, lam, diverged = linear_predictor(state, design, 0)
-        assert psi == PSI_CLAMP and diverged
-        assert np.isfinite(lam)
+        psi, psic, lam = refreshed([40.0], [0.0], [0.0], make_design([[1.0]]))
+        assert psi[0] == 40.0 and psic[0] == PSI_CLAMP
+        assert np.isfinite(lam[0])
 
     def test_dimension_mismatch(self):
-        design = make_design([[1.0, 2.0]])
-        state = make_state([0.5], [0.1], [0.0])
-        with pytest.raises(ValidationError, match="columns"):
-            linear_predictor(state, design, 0)
+        design = make_design([[1.0, 2.0], [1.0, 0.5], [1.0, 1.0]])
+        with pytest.raises(ValidationError, match="does not match the design"):
+            fit(np.array([1, 2]), design, None, ModelSpec(include_phi=False),
+                McmcConfig(burn_in=5, iters=5))
 
     def test_clamp_psi_counts(self):
-        clipped, events = clamp_psi(np.array([0.0, 31.0, -45.0]))
-        assert events == 2
-        assert clipped.tolist() == [0.0, PSI_CLAMP, -PSI_CLAMP]
+        assert _clamp(np.array([0.0, 31.0, -45.0])).tolist() == [0.0, PSI_CLAMP, -PSI_CLAMP]
 
 
 class TestPoissonLoglik:
@@ -97,6 +106,16 @@ class TestPoissonLoglik:
         with pytest.raises(DomainError):
             poisson_loglik(-1, 1.0)
 
+    def test_sampler_rows_match(self):
+        # the sampler's per-row form (a dot product) agrees with the public one
+        rng = np.random.default_rng(3)
+        y = rng.poisson(4.0, size=(3, 12)).astype(float)
+        psic = rng.normal(1.2, 0.5, size=(3, 12))
+        lam = np.exp(psic)
+        rows = _row_loglik(y, psic, lam, np.add.reduce(gammaln(y + 1.0), axis=1))
+        for k in range(3):
+            assert rows[k] == pytest.approx(poisson_loglik(y[k], lam[k]), rel=1e-12)
+
     @pytest.mark.parametrize("lam", [0.5, 1.0, 4.0, 10.0])
     def test_normalizes_to_one(self, lam):
         ys = np.arange(0, 200)
@@ -106,27 +125,39 @@ class TestPoissonLoglik:
 
 class TestCarConditional:
     def test_single_neighbor(self):
-        W = path_matrix(2)
-        mean, var = car_conditional(np.array([0.0, 0.5]), W, 2.0, 0)
-        assert mean == pytest.approx(0.5)
-        assert var == pytest.approx(0.5)
+        assert car_means([0.0, 0.5], path_matrix(2))[0] == pytest.approx(0.5)
 
     def test_two_equal_neighbors(self):
-        W = path_matrix(3)
-        mean, var = car_conditional(np.array([0.2, 0.0, 0.4]), W, 1.0, 1)
-        assert mean == pytest.approx(0.3)
-        assert var == pytest.approx(0.5)
+        assert car_means([0.2, 0.0, 0.4], path_matrix(3))[1] == pytest.approx(0.3)
 
     def test_weighted_neighbors(self):
         W = ProximityMatrix(zone_count=3, mode=ADJACENCY,
                             triples=((0, 1, 3.0), (1, 2, 1.0)))
-        mean, var = car_conditional(np.array([0.2, 0.0, 0.6]), W, 1.0, 1)
-        assert mean == pytest.approx((3 * 0.2 + 1 * 0.6) / 4)
-        assert var == pytest.approx(0.25)
+        assert car_means([0.2, 0.0, 0.6], W)[1] == pytest.approx((3 * 0.2 + 1 * 0.6) / 4)
 
     def test_island_pinned(self):
-        W = ProximityMatrix(zone_count=2, mode=ADJACENCY, triples=())
-        assert car_conditional(np.array([0.0, 0.0]), W, 1.0, 0) == (0.0, 0.0)
+        # an island is in no coloring class, so the sampler never moves it
+        W = ProximityMatrix(zone_count=3, mode=ADJACENCY, triples=((0, 1, 1.0),))
+        means = car_means([0.4, -0.4, 0.0], W)
+        assert np.isnan(means[2])
+        assert means[:2] == pytest.approx([-0.4, 0.4])
+
+    def test_log_ratio_is_conditional_normal(self):
+        # phi_i | rest ~ normal(mean, 1 / (tau w_i+))
+        sd = np.sqrt(1.0 / (2.0 * 4.0))
+        got = _car_log_ratio(np.array([[0.7]]), np.array([[0.2]]), np.array([[0.3]]),
+                             np.array([[1.0]]), np.array([4.0]))
+        want = stats.norm.logpdf(0.7, 0.3, sd) - stats.norm.logpdf(0.2, 0.3, sd)
+        assert got[0, 0] == pytest.approx(want, rel=1e-12)
+
+
+class TestNormalPriorRatio:
+    def test_matches_log_density(self):
+        got = _gauss_log_ratio(np.array([[0.9, -0.2]]), np.array([[0.1, 0.4]]), 0.5)
+        sd = np.sqrt(0.5)
+        want = (stats.norm.logpdf([0.9, -0.2], 0.0, sd)
+                - stats.norm.logpdf([0.1, 0.4], 0.0, sd))
+        np.testing.assert_allclose(got[0], want, rtol=1e-12)
 
 
 class TestIcarKernel:
@@ -161,8 +192,9 @@ class TestIcarKernel:
             icar_pairwise_sum(phi + 3.7, W), rel=1e-12)
 
     def test_conditionals_match_kernel_derivatives(self):
-        # the conditional mean/variance must agree with the curvature of the
-        # kernel in each coordinate on random small weight structures
+        # The sampler's CAR mean (from the padded neighbour tables) and its
+        # phi prior ratio must agree with the ICAR log density itself in each
+        # coordinate, on random small weight structures.
         rng = np.random.default_rng(42)
         for _ in range(10):
             n = int(rng.integers(3, 7))
@@ -175,8 +207,8 @@ class TestIcarKernel:
             tau = float(rng.uniform(0.5, 4.0))
             phi = rng.standard_normal(n)
             phi -= phi.mean()
+            means = car_means(phi, W)
             for i in range(n):
-                mean_i, var_i = car_conditional(phi, W, tau, i)
                 # the kernel is exactly quadratic in phi_i, so three points
                 # recover its derivatives without truncation error
 
@@ -188,9 +220,13 @@ class TestIcarKernel:
                 f0, fp, fm = kernel_at(0.0), kernel_at(1.0), kernel_at(-1.0)
                 second = fp + fm - 2 * f0          # 2a of a*v^2 + b*v + c
                 first = (fp - fm) / 2.0            # b
-                assert -1.0 / second == pytest.approx(var_i, abs=1e-8)
                 # stationary point of the quadratic = conditional mean
-                assert -first / second == pytest.approx(mean_i, abs=1e-8)
+                assert -first / second == pytest.approx(means[i], abs=1e-8)
+                for v in (1.0, -1.0, 0.37):
+                    ratio = _car_log_ratio(np.array([[v]]), np.array([[0.0]]),
+                                           np.array([[means[i]]]), np.array([[tau / 2]]),
+                                           W.row_sums[i:i + 1])
+                    assert ratio[0, 0] == pytest.approx(kernel_at(v) - f0, abs=1e-8)
 
 
 class TestModelSpec:
@@ -223,19 +259,21 @@ class TestModelSpec:
                     "include_theta", "include_phi", "fixed_tau_c", "fixed_sigma_theta2"}
         assert set(payload) == expected
 
+    @pytest.mark.parametrize("field", ["fixed_tau_c", "fixed_sigma_theta2"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_fixed_hyperparameter_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be finite and > 0"):
+            ModelSpec(**{field: value})
+
+    @pytest.mark.parametrize("field", ["fixed_tau_c", "fixed_sigma_theta2"])
+    def test_json_infinity_rejected(self, tmp_path, field):
+        p = tmp_path / "spec.json"
+        p.write_text(f'{{"{field}": Infinity}}')
+        with pytest.raises(ValidationError, match=rf"spec\.json: {field} must be finite"):
+            ModelSpec.from_json(p)
+
     def test_invalid_json_rejected(self, tmp_path):
         p = tmp_path / "spec.json"
         p.write_text("{not json")
         with pytest.raises(ValidationError, match="invalid JSON"):
             ModelSpec.from_json(p)
-
-
-class TestModelState:
-    def test_phi_constraint_checked(self):
-        state = make_state([0.0], [0.0, 0.0], [0.5, 0.6])
-        with pytest.raises(ValidationError, match="sum to zero"):
-            state.validate(component_labels=np.array([0, 0]))
-
-    def test_valid_state_passes(self):
-        state = make_state([0.0], [0.0, 0.0], [0.5, -0.5])
-        state.validate(component_labels=np.array([0, 0]))

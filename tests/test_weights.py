@@ -192,3 +192,43 @@ class TestFiles:
         p.write_text("zones 2\n0 1 nope\n")
         with pytest.raises(ValidationError, match=":2:"):
             read_weight_matrix(p)
+
+    @pytest.mark.parametrize("line,message", [
+        ("-1 1 1.0", "zone id -1 out of range"),
+        ("1 3 1.0", "zone id 3 out of range"),
+        ("1 2 nan", "weight nan"),
+        ("1 2 inf", "weight inf"),
+        ("1 2 -2.0", "weight -2.0"),
+        ("0 1 2.0", r"pair \(0, 1\) appears twice"),
+    ])
+    def test_matrix_bad_entry_reports_lineno(self, tmp_path, line, message):
+        p = tmp_path / "weights.txt"
+        p.write_text(f"zones 3\n0 1 1.0\n{line}\n")
+        with pytest.raises(ValidationError, match=rf"weights\.txt:3: {message}"):
+            read_weight_matrix(p)
+
+    def test_matrix_bad_zone_count_reports_lineno(self, tmp_path):
+        p = tmp_path / "weights.txt"
+        p.write_text("# header\nzones x\n0 1 1.0\n")
+        with pytest.raises(ValidationError, match=r"weights\.txt:2: bad zone count 'x'"):
+            read_weight_matrix(p)
+
+
+class TestMatrixValidation:
+    @pytest.mark.parametrize("triple", [(-1, 1, 1.0), (0, -2, 1.0)])
+    def test_negative_zone_id_rejected(self, triple):
+        with pytest.raises(ValidationError, match="out of range"):
+            ProximityMatrix(zone_count=3, mode=ADJACENCY, triples=(triple,))
+
+    def test_out_of_range_zone_id_rejected(self):
+        with pytest.raises(ValidationError, match="zone id 3 out of range"):
+            ProximityMatrix(zone_count=3, mode=ADJACENCY, triples=((0, 3, 1.0),))
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValidationError, match="finite"):
+            ProximityMatrix(zone_count=3, mode=ADJACENCY, triples=((0, 1, float("nan")),))
+
+    @pytest.mark.parametrize("w", [float("inf"), -float("inf")])
+    def test_infinite_weight_rejected(self, w):
+        with pytest.raises(ValidationError, match="finite"):
+            ProximityMatrix(zone_count=3, mode=ADJACENCY, triples=((0, 1, w),))
