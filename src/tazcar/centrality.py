@@ -20,7 +20,15 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from .errors import ConnectivityWarning, DomainError, ValidationError, located
+from .errors import (
+    ConnectivityWarning,
+    DomainError,
+    ValidationError,
+    entry_count,
+    located,
+    parse_count,
+    scan_lines,
+)
 
 HOP_COUNT = "hop_count"
 EDGE_LENGTH = "edge_length"
@@ -62,7 +70,7 @@ def _valid_length(length: float) -> bool:
     return math.isfinite(length) and length > 0
 
 
-def _check_edge(e, node_count: int, seen: set) -> tuple:
+def _check_edge(e, node_count: int, seen: dict) -> tuple:
     """One edge as (u, v, length or None), checked against the node count and
     the undirected edges in seen, to which it is added."""
     if len(e) == 2:
@@ -82,7 +90,7 @@ def _check_edge(e, node_count: int, seen: set) -> tuple:
     key = (min(u, v), max(u, v))
     if key in seen:
         raise ValidationError(f"duplicate undirected edge {key} in edge {e!r}")
-    seen.add(key)
+    seen[key] = length
     return int(u), int(v), None if length is None else float(length)
 
 
@@ -104,7 +112,7 @@ class RoadGraph:
     def __post_init__(self):
         if self.node_count < 1:
             raise ValidationError("node_count must be a positive integer")
-        seen = set()
+        seen = {}
         norm = tuple(_check_edge(e, self.node_count, seen) for e in self.edges)
         object.__setattr__(self, "edges", norm)
 
@@ -303,6 +311,18 @@ def analyze(graph: RoadGraph, metric: str = HOP_COUNT,
                             pattern=pattern, connected=connected, warnings=notes)
 
 
+def _parse_edge(words) -> tuple:
+    """One edge-list entry line as (u, v) or (u, v, length_km)."""
+    if len(words) not in (2, 3):
+        raise ValidationError(f"expected 'u v [length_km]', got {' '.join(words)!r}")
+    if len(words) == 2:
+        return int(words[0]), int(words[1])
+    length = float(words[2])
+    if not _valid_length(length):
+        raise ValidationError(f"length must be a finite positive number, got {words[2]!r}")
+    return int(words[0]), int(words[1]), length
+
+
 def read_edge_list(path) -> RoadGraph:
     """Parse the edge-list text format.
 
@@ -310,44 +330,9 @@ def read_edge_list(path) -> RoadGraph:
     lines are skipped.  An optional ``nodes N`` line fixes the node count,
     which otherwise is inferred as ``max id + 1``.
     """
-    edges = []
-    linenos = []
-    node_count = None
-    max_id = -1
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.split()
-            if parts[0] == "nodes":
-                if len(parts) != 2:
-                    raise ValidationError(f"{path}:{lineno}: malformed header {text!r}")
-                try:
-                    node_count = int(parts[1])
-                except ValueError:
-                    raise ValidationError(f"{path}:{lineno}: bad node count {parts[1]!r}") from None
-                continue
-            if len(parts) not in (2, 3):
-                raise ValidationError(f"{path}:{lineno}: expected 'u v [length_km]', got {text!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: non-integer node id in {text!r}") from None
-            length = None
-            if len(parts) == 3:
-                try:
-                    length = float(parts[2])
-                except ValueError:
-                    length = math.nan
-                if not _valid_length(length):
-                    raise ValidationError(f"{path}:{lineno}: length must be a finite positive "
-                                          f"number, got {parts[2]!r}")
-            edges.append((u, v) if length is None else (u, v, length))
-            linenos.append(lineno)
-            max_id = max(max_id, u, v)
-    if node_count is None:
-        node_count = max_id + 1
+    headers, edges, linenos = scan_lines(
+        path, {"nodes": ("node count", parse_count)}, _parse_edge)
+    node_count = entry_count(headers.get("nodes"), edges)
     if node_count < 1:
         raise ValidationError(f"{path}: no nodes found")
     try:

@@ -14,13 +14,7 @@ import click
 from . import __version__
 from .centrality import analyze, read_edge_list
 from .dataset import build_design, crash_counts, load_dataset, save_dataset, summarize
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    McmcDivergenceError,
-    TazcarError,
-    ValidationError,
-)
+from .errors import TazcarError, ValidationError
 from .evaluate import compare_dic, render_comparison
 from .mcmc import McmcConfig, PosteriorReport, fit
 from .model import ModelSpec
@@ -28,9 +22,9 @@ from .recovery import run_recovery
 from .synth import SimulationTruth, default_truth, generate_lattice, simulate_dataset
 from .weights import (
     MODES,
+    _read_weights,
     build_weights,
     read_topology,
-    read_weight_matrix,
     write_topology,
     write_weight_matrix,
 )
@@ -49,13 +43,9 @@ def _guard(fn, *args, **kwargs):
     """Run fn mapping toolkit errors onto the exit-code contract."""
     try:
         return fn(*args, **kwargs)
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except (FileNotFoundError, IsADirectoryError, ValidationError) as exc:
         _fail(EXIT_INPUT, str(exc))
-    except ValidationError as exc:
-        _fail(EXIT_INPUT, str(exc))
-    except (DomainError, ConvergenceError, McmcDivergenceError) as exc:
-        _fail(EXIT_DOMAIN, str(exc))
-    except TazcarError as exc:
+    except TazcarError as exc:  # DomainError, ConvergenceError, McmcDivergenceError
         _fail(EXIT_DOMAIN, str(exc))
 
 
@@ -149,15 +139,7 @@ def fit_cmd(data_path, weights_path, spec_path, chains, burnin, iters, thin,
             click.echo(f"error: {err}", err=True)
         sys.exit(EXIT_INPUT)
     spec = _guard(ModelSpec.from_json, spec_path) if spec_path else ModelSpec()
-
-    def read_weights():
-        # Accept either a prebuilt matrix or a raw topology.
-        try:
-            return read_weight_matrix(weights_path)
-        except ValidationError:
-            return build_weights(read_topology(weights_path), spec.proximity_mode)
-
-    W = _guard(read_weights) if spec.include_phi else None
+    W = _guard(_read_weights, weights_path, spec.proximity_mode) if spec.include_phi else None
     design = _guard(build_design, loaded.records, spec)
     y = crash_counts(loaded.records)
     config = _guard(McmcConfig, chains=chains, burn_in=burnin, iters=iters,

@@ -17,11 +17,6 @@ import numpy as np
 from .centrality import Pattern, RoadGraph, classify_pattern, graph_centralization
 from .errors import DataWarning, DomainError, ValidationError
 
-# "Signal spacing" in some source tables is signals per km, i.e. a density;
-# this artifact names the field signal_density throughout.
-SIGNAL_DENSITY_ALIAS = "signal_spacing"
-
-
 class LandUse(str, Enum):
     INDUSTRIAL = "Industrial"
     COMMERCIAL = "Commercial"
@@ -92,8 +87,6 @@ class DesignMatrix:
 
     matrix: np.ndarray
     labels: tuple
-    pattern_base: Pattern = Pattern.GRID
-    land_use_base: LandUse = LandUse.INDUSTRIAL
     standardized: bool = False
     col_means: np.ndarray = None
     col_sds: np.ndarray = None
@@ -166,7 +159,7 @@ def _parse_row(row: dict, lineno: int) -> ZoneRecord:
         raise ValidationError(f"row {lineno}: {exc}") from None
 
 
-def load_dataset(path, columns=DATASET_COLUMNS) -> LoadedDataset:
+def load_dataset(path) -> LoadedDataset:
     """Load a comma-delimited dataset with the fixed named header.
 
     Structural problems (missing file, missing columns) raise; individual
@@ -177,7 +170,7 @@ def load_dataset(path, columns=DATASET_COLUMNS) -> LoadedDataset:
         if reader.fieldnames is None:
             raise ValidationError(f"{path}: empty file")
         header = [name.strip() for name in reader.fieldnames]
-        missing = [c for c in columns if c not in header]
+        missing = [c for c in DATASET_COLUMNS if c not in header]
         if missing:
             raise ValidationError(f"{path}: missing columns {missing}")
         records, errors = [], []
@@ -297,10 +290,8 @@ def build_design(records, spec=None, standardize: bool = None) -> DesignMatrix:
             sds = np.delete(sds, j)
         offset = np.log(np.array([r.arterial_length_km for r in records]))
 
-    return DesignMatrix(matrix=matrix, labels=tuple(labels),
-                        pattern_base=Pattern.GRID, land_use_base=LandUse.INDUSTRIAL,
-                        standardized=bool(standardize), col_means=means, col_sds=sds,
-                        offset=offset)
+    return DesignMatrix(matrix=matrix, labels=tuple(labels), standardized=bool(standardize),
+                        col_means=means, col_sds=sds, offset=offset)
 
 
 def summarize(records) -> dict:

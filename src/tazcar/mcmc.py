@@ -21,8 +21,8 @@ bit-identical across runs and whatever chains share the batch.
 
 from __future__ import annotations
 
-import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -30,7 +30,14 @@ import scipy.sparse as sp
 from scipy.special import gammaln
 
 from . import evaluate
-from .errors import ConvergenceError, DomainError, McmcDivergenceError, ValidationError
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    McmcDivergenceError,
+    ValidationError,
+    dump_json,
+    load_json,
+)
 from .model import (
     GammaPrior,
     ModelSpec,
@@ -49,6 +56,9 @@ from .model import (
 
 _ADAPT_BATCH = 50
 _PSI_REFRESH = 200
+# IRLS stops when the score norm is below _IRLS_TOL or fails after _IRLS_MAX_ITER steps.
+_IRLS_TOL = 1e-8
+_IRLS_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -127,12 +137,12 @@ def update_tau_c(phi, W, component_count: int, prior: GammaPrior,
     return float(rng.standard_gamma(shape)) / rate
 
 
-def irls_poisson_fit(design, y, max_iter: int = 100, tol: float = 1e-8) -> tuple:
+def irls_poisson_fit(design, y) -> tuple:
     """Maximum-likelihood Poisson regression by iteratively reweighted least
     squares; returns (beta, covariance).
 
-    Converges when the score norm drops below tol; raises on rank-deficient
-    designs or when max_iter is exhausted.
+    Converges when the score norm drops below _IRLS_TOL; raises on
+    rank-deficient designs or after _IRLS_MAX_ITER steps.
     """
     X = design.matrix if hasattr(design, "matrix") else np.asarray(design, dtype=float)
     offset = getattr(design, "offset", None)
@@ -146,24 +156,24 @@ def irls_poisson_fit(design, y, max_iter: int = 100, tol: float = 1e-8) -> tuple
     beta = np.zeros(p)
     ybar = max(y.mean(), 1e-8)
     beta[0] = math.log(ybar) - off.mean() if np.all(X[:, 0] == 1.0) else 0.0
-    for _ in range(max_iter):
+    for _ in range(_IRLS_MAX_ITER):
         eta = _clamp(X @ beta + off)
         mu = np.exp(eta)
         score = X.T @ (y - mu)
         info = X.T @ (X * mu[:, None])
-        if float(np.linalg.norm(score)) < tol:
+        if float(np.linalg.norm(score)) < _IRLS_TOL:
             return beta, np.linalg.inv(info)
         beta = beta + np.linalg.solve(info, score)
-    raise ConvergenceError(f"IRLS did not converge in {max_iter} iterations")
+    raise ConvergenceError(f"IRLS did not converge in {_IRLS_MAX_ITER} iterations")
 
 
-def informative_priors_from_irls(design, y, variance_scale: float = 1.0) -> dict:
+def informative_priors_from_irls(design, y) -> dict:
     """Per-coefficient normal priors seeded from a maximum-likelihood fit,
     mirroring the practice of deriving informative priors from an initial
     frequentist estimate."""
     beta, cov = irls_poisson_fit(design, y)
     labels = design.labels if hasattr(design, "labels") else [f"b{j}" for j in range(len(beta))]
-    return {label: NormalPrior(mean=float(b), variance=float(v) * variance_scale)
+    return {label: NormalPrior(mean=float(b), variance=float(v))
             for label, b, v in zip(labels, beta, np.diag(cov))}
 
 
@@ -189,15 +199,21 @@ class PosteriorReport:
     component_count: int = 1
     notes: list = field(default_factory=list)
 
+    def __post_init__(self):
+        # The fields a comparison of stored reports reads.
+        for name in ("d_bar", "p_d", "dic", "r_squared"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValidationError(f"{name} must be a number, got {getattr(self, name)!r}")
+        if not (isinstance(self.alpha, dict)
+                and isinstance(self.alpha.get("mean"), (numbers.Real, type(None)))):
+            raise ValidationError(f"alpha must be an object with a numeric or null mean, "
+                                  f"got {self.alpha!r}")
+
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self, path=None) -> str:
-        text = json.dumps(self.to_dict(), indent=2)
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        return text
+        return dump_json(self.to_dict(), path)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PosteriorReport":
@@ -205,12 +221,7 @@ class PosteriorReport:
 
     @classmethod
     def from_json(cls, path) -> "PosteriorReport":
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        try:
-            return cls.from_dict(payload)
-        except TypeError as exc:
-            raise ValidationError(f"{path}: bad report field ({exc})") from None
+        return load_json(path, cls.from_dict)
 
     def coefficient_labels(self) -> list:
         return [k for k in self.parameters

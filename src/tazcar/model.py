@@ -11,20 +11,25 @@ absorbing the spatial mean.
 
 from __future__ import annotations
 
-import json
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 from scipy.special import gammaln
 
 from .dataset import CONTINUOUS_COVARIATES
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, dump_json, load_json
 from .weights import ADJACENCY, MODES, ProximityMatrix
 
 # Linear predictor clamp: |psi| above this is clipped and counted as a
 # divergence event rather than allowed to overflow exp().
 PSI_CLAMP = 30.0
+
+
+def _finite(value) -> bool:
+    """Whether value is a real number, neither infinite nor NaN."""
+    return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -33,8 +38,8 @@ class NormalPrior:
     variance: float = 1000.0
 
     def __post_init__(self):
-        if not self.variance > 0:
-            raise ValidationError("prior variance must be > 0")
+        if not (_finite(self.mean) and _finite(self.variance) and self.variance > 0):
+            raise ValidationError("normal prior needs a finite mean and a finite variance > 0")
 
 
 @dataclass(frozen=True)
@@ -46,8 +51,8 @@ class GammaPrior:
     rate: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.rate > 0):
-            raise ValidationError("gamma/inverse-gamma parameters must be > 0")
+        if not all(_finite(v) and v > 0 for v in (self.shape, self.rate)):
+            raise ValidationError("gamma/inverse-gamma parameters must be finite and > 0")
 
 
 @dataclass
@@ -78,14 +83,21 @@ class ModelSpec:
 
     def __post_init__(self):
         self.covariates = tuple(self.covariates)
+        if not all(isinstance(name, str) for name in self.covariates):
+            raise ValidationError(f"covariates must be names, got {self.covariates!r}")
         if self.proximity_mode not in MODES:
             raise ValidationError(f"unknown proximity mode {self.proximity_mode!r}")
-        for label, prior in self.coef_priors.items():
+        if not isinstance(self.coef_priors, dict):
+            raise ValidationError("coef_priors must map labels to normal priors")
+        for label, prior in [("default", self.default_coef_prior), *self.coef_priors.items()]:
             if not isinstance(prior, NormalPrior):
                 raise ValidationError(f"coef prior for {label!r} must be a NormalPrior")
+        for name in ("sigma_theta_prior", "tau_c_prior"):
+            if not isinstance(getattr(self, name), GammaPrior):
+                raise ValidationError(f"{name} must be a GammaPrior")
         for name in ("fixed_tau_c", "fixed_sigma_theta2"):
             value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
+            if value is not None and not (_finite(value) and value > 0):
                 raise ValidationError(f"{name} must be finite and > 0, got {value}")
 
     def prior_for(self, label: str) -> NormalPrior:
@@ -99,18 +111,14 @@ class ModelSpec:
         return d
 
     def to_json(self, path=None) -> str:
-        text = json.dumps(self.to_dict(), indent=2)
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        return text
+        return dump_json(self.to_dict(), path)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
         d = dict(d)
         if "default_coef_prior" in d and isinstance(d["default_coef_prior"], dict):
             d["default_coef_prior"] = NormalPrior(**d["default_coef_prior"])
-        if "coef_priors" in d:
+        if isinstance(d.get("coef_priors"), dict):
             d["coef_priors"] = {k: NormalPrior(**v) if isinstance(v, dict) else v
                                 for k, v in d["coef_priors"].items()}
         for key in ("sigma_theta_prior", "tau_c_prior"):
@@ -122,17 +130,7 @@ class ModelSpec:
 
     @classmethod
     def from_json(cls, path) -> "ModelSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}: invalid JSON ({exc})") from None
-        try:
-            return cls.from_dict(payload)
-        except TypeError as exc:
-            raise ValidationError(f"{path}: bad model spec field ({exc})") from None
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
+        return load_json(path, cls.from_dict)
 
 
 def _clamp(psi):

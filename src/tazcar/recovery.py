@@ -3,13 +3,12 @@ score credible-interval coverage and the recovered spatial share."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import build_design, crash_counts
-from .errors import ValidationError
+from .errors import ValidationError, dump_json
 from .mcmc import McmcConfig, fit_batch
 from .model import ModelSpec
 from .synth import SimulationTruth, default_truth, generate_lattice, simulate_dataset
@@ -52,11 +51,7 @@ class RecoveryResult:
         }
 
     def to_json(self, path=None) -> str:
-        text = json.dumps(self.to_dict(), indent=2)
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        return text
+        return dump_json(self.to_dict(), path)
 
     def render_table(self) -> str:
         lines = [f"{'coefficient':<28}{'truth':>10}{'covered':>10}{'coverage':>10}"]

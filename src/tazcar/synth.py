@@ -3,8 +3,7 @@ datasets generated from known parameters for oracle and recovery testing."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -17,8 +16,8 @@ from .dataset import (
     ZoneRecord,
     build_design,
 )
-from .errors import DomainError, ValidationError
-from .model import ModelSpec, PSI_CLAMP
+from .errors import DomainError, ValidationError, dump_json, load_json
+from .model import ModelSpec, PSI_CLAMP, _finite
 from .weights import ADJACENCY, ProximityMatrix, ZoneTopology, build_weights
 
 # Target moments for the default covariate generator: mean, sd, min, max.
@@ -79,26 +78,25 @@ class SimulationTruth:
     phi_sd_realized: float = None
     alpha_true: float = None
 
+    def __post_init__(self):
+        if not (isinstance(self.beta, dict) and all(map(_finite, self.beta.values()))):
+            raise ValidationError("beta must map coefficient labels to finite numbers")
+        for name in ("sigma_theta2", "tau_c"):
+            value = getattr(self, name)
+            if not (_finite(value) and value > 0):
+                raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
+        for name in ("theta_target_sd", "phi_target_sd"):
+            value = getattr(self, name)
+            if value is not None and not (_finite(value) and value >= 0):
+                raise ValidationError(f"{name} must be null or finite and >= 0, got {value!r}")
+        if self.phi_mode not in ("icar", "none"):
+            raise ValidationError(f"unknown phi_mode {self.phi_mode!r}")
+
     def to_dict(self) -> dict:
-        return {
-            "beta": dict(self.beta),
-            "sigma_theta2": self.sigma_theta2,
-            "tau_c": self.tau_c,
-            "phi_mode": self.phi_mode,
-            "theta_target_sd": self.theta_target_sd,
-            "phi_target_sd": self.phi_target_sd,
-            "seed": self.seed,
-            "theta_sd_realized": self.theta_sd_realized,
-            "phi_sd_realized": self.phi_sd_realized,
-            "alpha_true": self.alpha_true,
-        }
+        return asdict(self)
 
     def to_json(self, path=None) -> str:
-        text = json.dumps(self.to_dict(), indent=2)
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        return text
+        return dump_json(self.to_dict(), path)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimulationTruth":
@@ -108,12 +106,7 @@ class SimulationTruth:
 
     @classmethod
     def from_json(cls, path) -> "SimulationTruth":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}: invalid JSON ({exc})") from None
-        return cls.from_dict(payload)
+        return load_json(path, cls.from_dict)
 
 
 def default_truth(**overrides) -> SimulationTruth:
@@ -125,8 +118,9 @@ def default_truth(**overrides) -> SimulationTruth:
     return SimulationTruth(**kwargs)
 
 
-def generate_lattice(m: int, boundary_km: float = 1.0, lanes: int = 2) -> ZoneTopology:
-    """M x M rook-adjacency zone lattice with uniform boundaries and lanes."""
+def generate_lattice(m: int) -> ZoneTopology:
+    """M x M rook-adjacency zone lattice; every pair shares a 1 km boundary
+    crossed by 2 lanes."""
     if m < 2:
         raise DomainError("lattice size must be at least 2")
     pairs = []
@@ -134,9 +128,9 @@ def generate_lattice(m: int, boundary_km: float = 1.0, lanes: int = 2) -> ZoneTo
         for c in range(m):
             i = r * m + c
             if c + 1 < m:
-                pairs.append((i, i + 1, boundary_km, lanes))
+                pairs.append((i, i + 1, 1.0, 2))
             if r + 1 < m:
-                pairs.append((i, i + m, boundary_km, lanes))
+                pairs.append((i, i + m, 1.0, 2))
     return ZoneTopology(zone_count=m * m, neighbor_pairs=tuple(pairs))
 
 
@@ -152,11 +146,16 @@ def _lattice_edges(rows: int, cols: int, base: int = 0) -> list:
     return edges
 
 
+def _grid_shape(size: int) -> tuple:
+    """(rows, cols) of the full rows of `_grid_graph(size)`."""
+    rows = max(2, round(np.sqrt(size)))
+    return rows, size // rows
+
+
 def _grid_graph(size: int) -> RoadGraph:
     """Near-square lattice with exactly `size` nodes; a short final row is
     attached like any other lattice row."""
-    rows = max(2, round(np.sqrt(size)))
-    cols = size // rows
+    rows, cols = _grid_shape(size)
     spare = size - rows * cols
     edges = _lattice_edges(rows, cols)
     # Spare nodes extend an extra partial row under the first `spare` columns.
@@ -168,51 +167,24 @@ def _grid_graph(size: int) -> RoadGraph:
     return RoadGraph(node_count=size, edges=tuple(edges))
 
 
-def _connected_after_removal(n, edges, removed) -> bool:
-    adj = [[] for _ in range(n)]
-    removed = set(removed)
-    for idx, (u, v) in enumerate(edges):
-        if idx in removed:
-            continue
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == n
-
-
 def _irregular_grid_graph(size: int, irregularity: float, rng) -> RoadGraph:
     """Lattice with a fraction of the parallel collector links removed.
 
     Row 0 plays the arterial and keeps all its links; removal candidates
     are the horizontal (collector-parallel) links of the other rows.
     """
-    rows = max(2, round(np.sqrt(size)))
-    cols = size // rows
-    spare = size - rows * cols
-    edges = _lattice_edges(rows, cols)
-    for k in range(spare):
-        node = rows * cols + k
-        edges.append((node, (rows - 1) * cols + k))
-        if k > 0:
-            edges.append((node, node - 1))
-    horizontal = [idx for idx, (u, v) in enumerate(edges)
-                  if v == u + 1 and u >= cols]
+    grid = _grid_graph(size)
+    cols = _grid_shape(size)[1]
+    horizontal = [idx for idx, (u, v, _) in enumerate(grid.edges) if v == u + 1 and u >= cols]
     n_remove = int(round(irregularity * len(horizontal)))
     if n_remove == 0:
-        return RoadGraph(node_count=size, edges=tuple(edges))
+        return grid
     for _ in range(100):
-        removed = rng.choice(len(horizontal), size=n_remove, replace=False)
-        removed_idx = [horizontal[i] for i in removed]
-        if _connected_after_removal(size, edges, removed_idx):
-            kept = [e for idx, e in enumerate(edges) if idx not in set(removed_idx)]
-            return RoadGraph(node_count=size, edges=tuple(kept))
+        removed = {horizontal[i] for i in rng.choice(len(horizontal), size=n_remove, replace=False)}
+        graph = RoadGraph(node_count=size, edges=tuple(
+            e for idx, e in enumerate(grid.edges) if idx not in removed))
+        if graph.is_connected():
+            return graph
     raise DomainError("could not remove collector links without disconnecting the graph")
 
 
@@ -297,11 +269,10 @@ def _calibrated_truncnorm(mean, sd, lo, hi):
     return a, b, loc, sd
 
 
-def draw_covariates(n: int, rng, targets: dict = None) -> dict:
+def draw_covariates(n: int, rng) -> dict:
     """Draw the continuous covariate columns to the target moments."""
-    targets = dict(COVARIATE_TARGETS if targets is None else targets)
     out = {}
-    for name, (mean, sd, lo, hi) in targets.items():
+    for name, (mean, sd, lo, hi) in COVARIATE_TARGETS.items():
         a, b, loc, scale = _calibrated_truncnorm(mean, sd, lo, hi)
         out[name] = truncnorm.rvs(a, b, loc=loc, scale=scale, size=n, random_state=rng)
     return out
@@ -341,8 +312,7 @@ def _rescale(vec: np.ndarray, target_sd: float) -> np.ndarray:
     return vec * (target_sd / sd)
 
 
-def simulate_dataset(topology: ZoneTopology, truth: SimulationTruth = None,
-                     covariate_targets: dict = None, seed: int = 0):
+def simulate_dataset(topology: ZoneTopology, truth: SimulationTruth = None, seed: int = 0):
     """Simulate one zone dataset from known parameters.
 
     Returns (records, truth) where the returned truth carries the realized
@@ -352,14 +322,12 @@ def simulate_dataset(topology: ZoneTopology, truth: SimulationTruth = None,
     rng = np.random.default_rng(seed)
     n = topology.zone_count
 
-    cov = draw_covariates(n, rng, covariate_targets)
+    cov = draw_covariates(n, rng)
     patterns = rng.choice([p.value for p, _ in PATTERN_SHARES], size=n,
                           p=[s for _, s in PATTERN_SHARES])
     land_uses = rng.choice([l.value for l, _ in LAND_USE_SHARES], size=n,
                            p=[s for _, s in LAND_USE_SHARES])
 
-    if truth.phi_mode not in ("icar", "none"):
-        raise ValidationError(f"unknown phi_mode {truth.phi_mode!r}")
     theta = rng.standard_normal(n) * np.sqrt(truth.sigma_theta2)
     theta = _rescale(theta, truth.theta_target_sd)
     if truth.phi_mode == "icar":
@@ -389,26 +357,17 @@ def simulate_dataset(topology: ZoneTopology, truth: SimulationTruth = None,
     beta = np.array([truth.beta[lbl] for lbl in design.labels])
 
     psi = design.matrix @ beta + theta + phi
-    if np.any(np.abs(psi) > PSI_CLAMP):
+    if not np.all(np.abs(psi) <= PSI_CLAMP):
         raise ValidationError(
             f"truth rejected: |psi| reaches {np.abs(psi).max():.2f}, "
             f"exp would overflow the count scale")
     y = rng.poisson(np.exp(psi))
 
-    records = [ZoneRecord(zone_id=r.zone_id, area_km2=r.area_km2,
-                          ln_production=r.ln_production, ln_attraction=r.ln_attraction,
-                          arterial_length_km=r.arterial_length_km,
-                          access_density=r.access_density, signal_density=r.signal_density,
-                          road_density=r.road_density, pattern=r.pattern,
-                          land_use=r.land_use, crash_count=int(y[i]))
-               for i, r in enumerate(base_records)]
+    records = [replace(r, crash_count=int(y[i])) for i, r in enumerate(base_records)]
 
     sd_t = float(theta.std(ddof=1)) if n > 1 else 0.0
     sd_p = float(phi.std(ddof=1)) if n > 1 else 0.0
-    realized = SimulationTruth(
-        beta=dict(truth.beta), sigma_theta2=truth.sigma_theta2, tau_c=truth.tau_c,
-        phi_mode=truth.phi_mode, theta_target_sd=truth.theta_target_sd,
-        phi_target_sd=truth.phi_target_sd, seed=seed,
-        theta_sd_realized=sd_t, phi_sd_realized=sd_p,
-        alpha_true=(sd_p / (sd_t + sd_p)) if sd_t + sd_p > 0 else None)
+    realized = replace(truth, beta=dict(truth.beta), seed=seed, theta_sd_realized=sd_t,
+                       phi_sd_realized=sd_p,
+                       alpha_true=(sd_p / (sd_t + sd_p)) if sd_t + sd_p > 0 else None)
     return records, realized

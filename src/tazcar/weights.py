@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, located
+from .errors import ValidationError, entry_count, lines, located, parse_count, scan_lines
 
 ADJACENCY = "adjacency"
 BOUNDARY_LENGTH = "boundary_length"
@@ -37,37 +37,39 @@ class ZoneTopology:
         if self.zone_count < 1:
             raise ValidationError("zone_count must be a positive integer")
         seen = {}
-        norm = []
-        for pair in self.neighbor_pairs:
-            if len(pair) != 4:
-                raise ValidationError(
-                    f"pair {pair!r} must be (i, j, boundary_km, lanes)")
-            i, j, boundary, lanes = pair
-            if i == j:
-                raise ValidationError(f"zone {i} paired with itself")
-            for z in (i, j):
-                if not (0 <= z < self.zone_count):
-                    raise ValidationError(
-                        f"zone id {z} out of range [0, {self.zone_count}) in pair {pair!r}")
-            if not boundary > 0:
-                raise ValidationError(
-                    f"pair ({i}, {j}) listed as adjacent but boundary length is {boundary}")
-            if lanes < 0 or int(lanes) != lanes:
-                raise ValidationError(f"pair ({i}, {j}) has invalid lane count {lanes}")
-            key = (min(i, j), max(i, j))
-            attrs = (float(boundary), int(lanes))
-            if key in seen:
-                if seen[key] != attrs:
-                    raise ValidationError(
-                        f"pair {key} listed twice with conflicting attributes "
-                        f"{seen[key]} vs {attrs}")
-                raise ValidationError(f"pair {key} listed twice")
-            seen[key] = attrs
-            norm.append((key[0], key[1], attrs[0], attrs[1]))
-        object.__setattr__(self, "neighbor_pairs", tuple(norm))
+        norm = tuple(_check_pair(p, self.zone_count, seen) for p in self.neighbor_pairs)
+        object.__setattr__(self, "neighbor_pairs", norm)
 
 
-def _check_triple(triple, zone_count: int, seen: set) -> tuple:
+def _check_pair(pair, zone_count: int, seen: dict) -> tuple:
+    """One topology pair as (a, b, boundary_km, lanes) with a < b, checked
+    against the zone count and the pairs in seen, to which it is added with
+    its attributes."""
+    if len(pair) != 4:
+        raise ValidationError(f"pair {pair!r} must be (i, j, boundary_km, lanes)")
+    i, j, boundary, lanes = pair
+    if i == j:
+        raise ValidationError(f"zone {i} paired with itself")
+    for z in (i, j):
+        if not (0 <= z < zone_count):
+            raise ValidationError(f"zone id {z} out of range [0, {zone_count}) in pair {pair!r}")
+    if not (math.isfinite(boundary) and boundary > 0):
+        raise ValidationError(
+            f"pair ({i}, {j}) listed as adjacent but boundary length is {boundary}")
+    if lanes < 0 or int(lanes) != lanes:
+        raise ValidationError(f"pair ({i}, {j}) has invalid lane count {lanes}")
+    key = (min(i, j), max(i, j))
+    attrs = (float(boundary), int(lanes))
+    if key in seen:
+        if seen[key] != attrs:
+            raise ValidationError(
+                f"pair {key} listed twice with conflicting attributes {seen[key]} vs {attrs}")
+        raise ValidationError(f"pair {key} listed twice")
+    seen[key] = attrs
+    return key + attrs
+
+
+def _check_triple(triple, zone_count: int, seen: dict) -> tuple:
     """One weight entry as (a, b, w) with a < b, checked against the zone
     count and the pairs in seen, to which it is added."""
     i, j, w = triple
@@ -81,7 +83,7 @@ def _check_triple(triple, zone_count: int, seen: set) -> tuple:
     a, b = (i, j) if i < j else (j, i)
     if (a, b) in seen:
         raise ValidationError(f"pair ({a}, {b}) appears twice")
-    seen.add((a, b))
+    seen[a, b] = w
     return int(a), int(b), float(w)
 
 
@@ -104,7 +106,7 @@ class ProximityMatrix:
         if self.mode not in MODES:
             raise ValidationError(f"unknown proximity mode {self.mode!r}; expected {MODES}")
         sums = np.zeros(self.zone_count)
-        seen = set()
+        seen = {}
         norm = []
         for triple in self.triples:
             a, b, w = _check_triple(triple, self.zone_count, seen)
@@ -207,41 +209,28 @@ def connected_components(matrix) -> tuple:
     return labels, count
 
 
+_ZONES = {"zones": ("zone count", parse_count)}
+
+
+def _parse_pair(words) -> tuple:
+    """One topology entry line as (i, j, boundary_km, lanes)."""
+    if len(words) != 4:
+        raise ValidationError(f"expected 'i j boundary_km lanes', got {' '.join(words)!r}")
+    return int(words[0]), int(words[1]), float(words[2]), int(words[3])
+
+
 def read_topology(path) -> ZoneTopology:
     """Parse the zone-topology text format: a ``zones N`` header line then
     one ``i j boundary_km lanes`` line per adjacent pair."""
-    pairs = []
-    zone_count = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.split()
-            if parts[0] == "zones":
-                if len(parts) != 2:
-                    raise ValidationError(f"{path}:{lineno}: malformed header {text!r}")
-                try:
-                    zone_count = int(parts[1])
-                except ValueError:
-                    raise ValidationError(f"{path}:{lineno}: bad zone count {parts[1]!r}") from None
-                continue
-            if len(parts) != 4:
-                raise ValidationError(
-                    f"{path}:{lineno}: expected 'i j boundary_km lanes', got {text!r}")
-            try:
-                i, j = int(parts[0]), int(parts[1])
-                boundary = float(parts[2])
-                lanes = int(parts[3])
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: malformed pair {text!r}") from None
-            pairs.append((i, j, boundary, lanes))
-    if zone_count is None:
+    headers, pairs, linenos = scan_lines(path, _ZONES, _parse_pair)
+    if "zones" not in headers:
         raise ValidationError(f"{path}: missing 'zones N' header")
+    zone_count = headers["zones"]
     try:
         return ZoneTopology(zone_count=zone_count, neighbor_pairs=tuple(pairs))
     except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+        raise located(path, linenos, pairs,
+                      lambda p, seen: _check_pair(p, zone_count, seen), exc) from None
 
 
 def write_topology(topology: ZoneTopology, path) -> None:
@@ -251,49 +240,40 @@ def write_topology(topology: ZoneTopology, path) -> None:
             fh.write(f"{i} {j} {boundary!r} {lanes}\n")
 
 
+_MATRIX_HEADERS = dict(_ZONES, mode=("mode", str))
+
+
+def _parse_triple(words) -> tuple:
+    """One weight-matrix entry line as (i, j, w)."""
+    if len(words) != 3:
+        raise ValidationError(f"expected 'i j w', got {' '.join(words)!r}")
+    return int(words[0]), int(words[1]), float(words[2])
+
+
 def read_weight_matrix(path) -> ProximityMatrix:
     """Parse the weight-matrix text format: optional ``zones N`` and
     ``mode NAME`` headers, then upper-triangle ``i j w`` lines (symmetric
     completion implied)."""
-    triples = []
-    linenos = []
-    zone_count = None
-    mode = ADJACENCY
-    max_id = -1
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.split()
-            if parts[0] == "zones" and len(parts) == 2:
-                try:
-                    zone_count = int(parts[1])
-                except ValueError:
-                    raise ValidationError(f"{path}:{lineno}: bad zone count {parts[1]!r}") from None
-                continue
-            if parts[0] == "mode" and len(parts) == 2:
-                mode = parts[1]
-                continue
-            if len(parts) != 3:
-                raise ValidationError(f"{path}:{lineno}: expected 'i j w', got {text!r}")
-            try:
-                i, j = int(parts[0]), int(parts[1])
-                w = float(parts[2])
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: malformed entry {text!r}") from None
-            triples.append((min(i, j), max(i, j), w))
-            linenos.append(lineno)
-            max_id = max(max_id, i, j)
-    if zone_count is None:
-        zone_count = max_id + 1
+    headers, triples, linenos = scan_lines(path, _MATRIX_HEADERS, _parse_triple)
+    zone_count = entry_count(headers.get("zones"), triples)
     if zone_count < 1:
         raise ValidationError(f"{path}: no zones found")
     try:
-        return ProximityMatrix(zone_count=zone_count, mode=mode, triples=tuple(triples))
+        return ProximityMatrix(zone_count=zone_count, mode=headers.get("mode", ADJACENCY),
+                               triples=tuple(triples))
     except ValidationError as exc:
         raise located(path, linenos, triples,
-                      lambda e, seen: _check_triple(e, zone_count, seen), exc) from None
+                      lambda t, seen: _check_triple(t, zone_count, seen), exc) from None
+
+
+def _read_weights(path, mode: str) -> ProximityMatrix:
+    """A ``fit --weights`` file: a zone topology, weighted in ``mode``, when
+    its first entry line has 4 fields; otherwise a weight matrix (3 fields,
+    or no entries)."""
+    widths = (len(words) for _, words in lines(path) if words[0] not in _MATRIX_HEADERS)
+    if next(widths, 3) == 4:
+        return build_weights(read_topology(path), mode)
+    return read_weight_matrix(path)
 
 
 def write_weight_matrix(matrix: ProximityMatrix, path) -> None:

@@ -135,6 +135,15 @@ class TestWeightsCommand:
         assert result.exit_code == 2
 
 
+    def test_topology_bad_pair_exit_2_with_lineno(self, runner, tmp_path):
+        topology = tmp_path / "t.topology"
+        topology.write_text("zones 3\n0 1 1.0 2\n1 1 1.0 2\n")
+        result = runner.invoke(main, ["weights", "--topology", str(topology)])
+        assert result.exit_code == 2
+        assert "t.topology:3: zone 1 paired with itself" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+
 class TestSimulateCommand:
     def test_simulate_writes_files(self, runner, tmp_path):
         data, truth, topology = simulate_small(runner, tmp_path)
@@ -158,6 +167,24 @@ class TestSimulateCommand:
                                       "--truth-out", str(truth)])
         assert result.exit_code == 0
         assert json.loads(truth.read_text())["phi_mode"] == "none"
+
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"beta": 3}, "beta must map coefficient labels to finite numbers"),
+        ({"beta": {"intercept": "a"}}, "beta must map coefficient labels to finite numbers"),
+        ({"sigma_theta2": -1}, "sigma_theta2 must be finite and > 0, got -1"),
+        ({"tau_c": 0}, "tau_c must be finite and > 0, got 0"),
+        ({"phi_target_sd": "a"}, "phi_target_sd must be null or finite and >= 0, got 'a'"),
+        ({"phi_mode": "car"}, "unknown phi_mode 'car'"),
+    ])
+    def test_bad_truth_exit_2(self, runner, tmp_path, fields, message):
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps({"beta": {"intercept": 1.0}, **fields}))
+        result = runner.invoke(main, ["simulate", "--lattice", "3", "--truth", str(truth),
+                                      "--out", str(tmp_path / "zones.csv")])
+        assert result.exit_code == 2
+        assert f"truth.json: {message}" in result.output
+        assert isinstance(result.exception, SystemExit)
 
 
 class TestFitCommand:
@@ -196,6 +223,46 @@ class TestFitCommand:
         assert result.exit_code == 2
         assert f"spec.json: {field} must be finite and > 0" in result.output
         assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("text,message", [
+        ('"abc"', "spec.json: expected a JSON object, got str"),
+        ('{"coef_priors": 5}', "spec.json: coef_priors must map labels to normal priors"),
+        ('{"sigma_theta_prior": 5}', "spec.json: sigma_theta_prior must be a GammaPrior"),
+        ('{"default_coef_prior": {"mean": "a"}}', "spec.json: normal prior needs a finite mean"),
+        ('{"covariates": [[1]]}', "spec.json: covariates must be names"),
+    ])
+    def test_bad_spec_exit_2(self, runner, tmp_path, text, message):
+        data, _, topology = simulate_small(runner, tmp_path, seed=5, lattice=4)
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        result = runner.invoke(main, ["fit", "--data", str(data), "--weights", str(topology),
+                                      "--spec", str(spec), "--burnin", "5", "--iters", "5"])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_weight_matrix_error_is_reported(self, runner, tmp_path):
+        data, _, _ = simulate_small(runner, tmp_path, seed=5, lattice=3)
+        w = tmp_path / "w.txt"
+        w.write_text("zones 9\n0 1 1.0\n1 2 nan\n")
+        result = runner.invoke(main, ["fit", "--data", str(data), "--weights", str(w),
+                                      "--burnin", "5", "--iters", "5"])
+        assert result.exit_code == 2
+        assert "w.txt:3: weight nan" in result.output
+
+    @pytest.mark.parametrize("entries,message", [
+        ("1 2 1.0 2\n0 1 1.0", "w.txt:3: expected 'i j boundary_km lanes'"),
+        ("1 2 1.0\n0 1 1.0 2", "w.txt:3: expected 'i j w'"),
+        ("0 1", "w.txt:2: expected 'i j w'"),
+    ])
+    def test_first_entry_picks_the_weights_reader(self, runner, tmp_path, entries, message):
+        data, _, _ = simulate_small(runner, tmp_path, seed=5, lattice=3)
+        w = tmp_path / "w.txt"
+        w.write_text(f"zones 9  # 3 x 3\n{entries}\n")
+        result = runner.invoke(main, ["fit", "--data", str(data), "--weights", str(w),
+                                      "--burnin", "5", "--iters", "5"])
+        assert result.exit_code == 2
+        assert message in result.output
 
     def test_bad_dataset_exit_2(self, runner, tmp_path):
         data = tmp_path / "zones.csv"
@@ -239,6 +306,26 @@ class TestCompareCommand:
         result = runner.invoke(main, ["compare"] + reports)
         assert result.exit_code == 0
         assert "delta DIC" in result.output
+
+    @pytest.mark.parametrize("damage,message", [
+        (lambda text: text[:len(text) // 2], "invalid JSON"),
+        (lambda text: "[]", "expected a JSON object, got list"),
+        (lambda text: json.dumps(dict(json.loads(text), extra=1)),
+         "PosteriorReport.__init__() got an unexpected keyword argument 'extra'"),
+        (lambda text: json.dumps(dict(json.loads(text), alpha=3)), "alpha must be an object"),
+        (lambda text: json.dumps(dict(json.loads(text), dic="low")), "dic must be a number"),
+    ])
+    def test_bad_report_exit_2(self, runner, tmp_path, damage, message):
+        data, _, topology = simulate_small(runner, tmp_path, seed=11, lattice=3)
+        good = tmp_path / "good.json"
+        runner.invoke(main, ["fit", "--data", str(data), "--weights", str(topology),
+                             "--burnin", "5", "--iters", "5", "--out", str(good)])
+        bad = tmp_path / "bad.json"
+        bad.write_text(damage(good.read_text()))
+        result = runner.invoke(main, ["compare", str(good), str(bad)])
+        assert result.exit_code == 2
+        assert f"bad.json: {message}" in result.output
+        assert isinstance(result.exception, SystemExit)
 
     def test_single_report_exit_2(self, runner, tmp_path):
         result = runner.invoke(main, ["compare", str(tmp_path / "only.json")])

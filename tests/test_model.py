@@ -237,10 +237,11 @@ class TestModelSpec:
         assert spec.default_coef_prior.variance == 1000.0
 
     def test_bad_prior(self):
-        with pytest.raises(ValidationError):
-            NormalPrior(0.0, 0.0)
-        with pytest.raises(ValidationError):
-            GammaPrior(0.0, 1.0)
+        for make in (lambda: NormalPrior(0.0, 0.0), lambda: NormalPrior(float("nan"), 1.0),
+                     lambda: NormalPrior("a", 1.0), lambda: GammaPrior(0.0, 1.0),
+                     lambda: GammaPrior(1.0, float("inf"))):
+            with pytest.raises(ValidationError):
+                make()
 
     def test_json_round_trip(self, tmp_path):
         spec = ModelSpec(covariates=("access_density", "signal_density"),

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,29 @@ class TestPatternNetworks:
     def test_string_pattern_accepted(self):
         g = generate_pattern_network("Grid", size=16, seed=0)
         assert g.node_count == 16
+
+    # sha256 over repr((node_count, edges)) of every network of sizes 9-144
+    # and seeds 0-4, recorded before the generators shared _grid_graph and
+    # RoadGraph.is_connected; the benchmark's zone networks depend on them.
+    @pytest.mark.parametrize("pattern,irregularity,digest", [
+        (Pattern.GRID, 0.35, "0e88eb87f091b2b01a4681cb6600847b9c4847414a5e6e88c570edb1f8dfef83"),
+        (Pattern.IRREGULAR_GRID, 0.0,
+         "0e88eb87f091b2b01a4681cb6600847b9c4847414a5e6e88c570edb1f8dfef83"),
+        (Pattern.IRREGULAR_GRID, 0.35,
+         "b66c04553cf7da30d2270d28852f441fba5bde1ba8ce0e65b1ae1dc573e80017"),
+        (Pattern.IRREGULAR_GRID, 0.6,
+         "7e44cf4046394bdcd0bf14c68b4b87ee3b21442387a9ef7f6425b211a0b89bf8"),
+        (Pattern.MIXED, 0.35, "65f7c7e53e14e1d31ef8d183b4b2c70045871284696710d05cee4fb58c005257"),
+        (Pattern.LOLLIPOPS, 0.35,
+         "a3d34da0883c7d1980edfee40d573130791e7e3d89cdd7dd50473c1a8cd50b4a"),
+    ])
+    def test_networks_are_pinned(self, pattern, irregularity, digest):
+        h = hashlib.sha256()
+        for size in range(9, 145):
+            for seed in range(5):
+                g = generate_pattern_network(pattern, size, irregularity=irregularity, seed=seed)
+                h.update(repr((g.node_count, g.edges)).encode())
+        assert h.hexdigest() == digest
 
     def test_size_floor(self):
         with pytest.raises(DomainError):

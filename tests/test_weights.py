@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tazcar.centrality import read_edge_list
 from tazcar.errors import ValidationError
 from tazcar.weights import (
     ADJACENCY,
@@ -212,6 +213,57 @@ class TestFiles:
         p.write_text("# header\nzones x\n0 1 1.0\n")
         with pytest.raises(ValidationError, match=r"weights\.txt:2: bad zone count 'x'"):
             read_weight_matrix(p)
+
+
+    @pytest.mark.parametrize("line,message", [
+        ("1 1 1.0 2", "zone 1 paired with itself"),
+        ("1 0 1.0 2", r"pair \(0, 1\) listed twice$"),
+        ("1 0 2.0 2", r"pair \(0, 1\) listed twice with conflicting attributes "
+                      r"\(1.0, 2\) vs \(2.0, 2\)"),
+        ("1 3 1.0 2", "zone id 3 out of range"),
+        ("-1 2 1.0 2", "zone id -1 out of range"),
+        ("1 2 0.0 2", r"pair \(1, 2\) listed as adjacent but boundary length is 0\.0"),
+        ("1 2 inf 2", r"pair \(1, 2\) listed as adjacent but boundary length is inf"),
+        ("1 2 1.0 -1", r"pair \(1, 2\) has invalid lane count -1"),
+    ])
+    def test_topology_bad_pair_reports_lineno(self, tmp_path, line, message):
+        p = tmp_path / "t.topology"
+        p.write_text(f"zones 3\n0 1 1.0 2\n{line}\n")
+        with pytest.raises(ValidationError, match=rf"t\.topology:3: {message}"):
+            read_topology(p)
+
+    @pytest.mark.parametrize("reader,header", [
+        (read_topology, "zones 3 4"),
+        (read_topology, "zones"),
+        (read_weight_matrix, "zones 3 4"),
+        (read_weight_matrix, "mode adjacency lane_count"),
+        (read_edge_list, "nodes"),
+        (read_edge_list, "nodes 3 4"),
+    ])
+    def test_header_word_count_is_malformed_header(self, tmp_path, reader, header):
+        p = tmp_path / "input.txt"
+        p.write_text(f"# comment\n{header}\n")
+        with pytest.raises(ValidationError, match=rf"input\.txt:2: malformed header '{header}'"):
+            reader(p)
+
+    @pytest.mark.parametrize("reader,text,message", [
+        (read_topology, "zones 0\n", "bad zone count '0'"),
+        (read_weight_matrix, "zones 1000001\n", "bad zone count '1000001'"),
+        (read_weight_matrix, "0 1 1.0\n0 1000000 1.0\n",
+         r"zone id 1000000 out of range \[0, 1000000\)"),
+        (read_edge_list, "0 1\n0 99999999999999999999\n", "node id 99999999999999999999 out"),
+    ])
+    def test_counts_above_the_limit_rejected(self, tmp_path, reader, text, message):
+        p = tmp_path / "input.txt"
+        p.write_text(text)
+        with pytest.raises(ValidationError, match=rf"input\.txt:\d: {message}"):
+            reader(p)
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        p = tmp_path / "input.txt"
+        p.write_bytes(b"zones 3\n0 1 \xff 2\n")
+        with pytest.raises(ValidationError, match=r"input\.txt: not UTF-8 text"):
+            read_topology(p)
 
 
 class TestMatrixValidation:
