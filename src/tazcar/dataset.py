@@ -44,6 +44,9 @@ DATASET_COLUMNS = ("zone_id", "area_km2", "ln_production", "ln_attraction",
 
 SUMMARY_COVARIATES = ("area_km2",) + CONTINUOUS_COVARIATES
 
+# Counts are held as 64-bit integers.
+MAX_CRASH_COUNT = np.iinfo(np.int64).max
+
 
 @dataclass(frozen=True)
 class ZoneRecord:
@@ -70,9 +73,10 @@ class ZoneRecord:
             v = getattr(self, name)
             if not (np.isfinite(v) and v >= 0):
                 raise ValidationError(f"zone {self.zone_id}: {name} must be >= 0")
-        if self.crash_count < 0 or int(self.crash_count) != self.crash_count:
-            raise ValidationError(
-                f"zone {self.zone_id}: crash_count must be a nonnegative integer")
+        if not (0 <= self.crash_count <= MAX_CRASH_COUNT
+                and int(self.crash_count) == self.crash_count):
+            raise ValidationError(f"zone {self.zone_id}: crash_count must be an integer "
+                                  f"in [0, {MAX_CRASH_COUNT}]")
 
 
 @dataclass
@@ -123,62 +127,71 @@ class LoadedDataset:
         return not self.errors
 
 
-def _parse_row(row: dict, lineno: int) -> ZoneRecord:
+def _parse_row(row: dict) -> ZoneRecord:
     def num(name, caster=float):
         raw = row[name].strip()
         try:
             return caster(raw)
         except ValueError:
-            raise ValidationError(f"row {lineno}: non-numeric {name} {raw!r}") from None
+            raise ValidationError(f"non-numeric {name} {raw!r}") from None
 
     pattern_token = row["pattern"].strip()
     try:
         pattern = Pattern(pattern_token)
     except ValueError:
-        raise ValidationError(f"row {lineno}: unknown pattern {pattern_token!r}") from None
+        raise ValidationError(f"unknown pattern {pattern_token!r}") from None
     land_token = row["land_use"].strip()
     try:
         land_use = LandUse(land_token)
     except ValueError:
-        raise ValidationError(f"row {lineno}: unknown land_use {land_token!r}") from None
-    try:
-        return ZoneRecord(
-            zone_id=num("zone_id", int),
-            area_km2=num("area_km2"),
-            ln_production=num("ln_production"),
-            ln_attraction=num("ln_attraction"),
-            arterial_length_km=num("arterial_length_km"),
-            access_density=num("access_density"),
-            signal_density=num("signal_density"),
-            road_density=num("road_density"),
-            pattern=pattern,
-            land_use=land_use,
-            crash_count=num("crash_count", int),
-        )
-    except ValidationError as exc:
-        raise ValidationError(f"row {lineno}: {exc}") from None
+        raise ValidationError(f"unknown land_use {land_token!r}") from None
+    return ZoneRecord(
+        zone_id=num("zone_id", int),
+        area_km2=num("area_km2"),
+        ln_production=num("ln_production"),
+        ln_attraction=num("ln_attraction"),
+        arterial_length_km=num("arterial_length_km"),
+        access_density=num("access_density"),
+        signal_density=num("signal_density"),
+        road_density=num("road_density"),
+        pattern=pattern,
+        land_use=land_use,
+        crash_count=num("crash_count", int),
+    )
 
 
 def load_dataset(path) -> LoadedDataset:
     """Load a comma-delimited dataset with the fixed named header.
 
-    Structural problems (missing file, missing columns) raise; individual
-    bad rows are collected into the error report and skipped.
+    Structural problems (missing file, text that is not UTF-8, malformed
+    CSV, missing columns) raise; individual bad rows, rows with the wrong
+    number of fields among them, are collected into the error report at
+    path:line and skipped.  Blank lines are skipped.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValidationError(f"{path}: empty file")
-        header = [name.strip() for name in reader.fieldnames]
-        missing = [c for c in DATASET_COLUMNS if c not in header]
-        if missing:
-            raise ValidationError(f"{path}: missing columns {missing}")
-        records, errors = [], []
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                records.append(_parse_row(row, lineno))
-            except ValidationError as exc:
-                errors.append(str(exc))
+    records, errors = [], []
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValidationError(f"{path}: empty file")
+            header = [name.strip() for name in header]
+            missing = [c for c in DATASET_COLUMNS if c not in header]
+            if missing:
+                raise ValidationError(f"{path}: missing columns {missing}")
+            for fields in reader:
+                if not fields:
+                    continue
+                try:
+                    if len(fields) != len(header):
+                        raise ValidationError(f"expected {len(header)} fields, got {len(fields)}")
+                    records.append(_parse_row(dict(zip(header, fields))))
+                except ValidationError as exc:
+                    errors.append(f"{path}:{reader.line_num}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
     return LoadedDataset(records=records, errors=errors)
 
 

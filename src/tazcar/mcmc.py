@@ -1,12 +1,16 @@
 """Metropolis-within-Gibbs sampler for the Poisson-lognormal CAR model.
 
-One sweep updates, in order: each regression coefficient by scalar random
-walk, every heterogeneity effect theta_i (jointly vectorized: they are
-conditionally independent), every spatial effect phi_i (vectorized over
-graph-coloring classes so simultaneous sites are never neighbors), then
-conjugate draws for sigma_theta^2 (inverse-gamma) and tau_c (gamma), and
-finally a re-centering of phi with the intercept absorbing the removed
-mean.  Proposal scales adapt toward 0.44 acceptance during burn-in only.
+One sweep updates, in order: all regression coefficients in one
+Metropolis-Hastings step whose Gaussian proposal is an IWLS (Newton) step
+from the current beta (Gamerman 1997), every heterogeneity effect theta_i
+(jointly vectorized: they are conditionally independent), every spatial
+effect phi_i (vectorized over graph-coloring classes so simultaneous sites
+are never neighbors), then conjugate draws for sigma_theta^2
+(inverse-gamma) and tau_c (gamma), then a re-centering of phi with the
+intercept absorbing the removed mean, and finally joint scaling moves of
+(theta, sigma_theta^2) and (phi, tau_c) (Liu & Sabatti 2000), which keep phi
+centred.  The random-walk and scaling-move step sizes adapt toward 0.44
+acceptance during burn-in only.
 
 Chains run together in one batched sampler: their states are the rows of
 (chains x zones) arrays, so one numpy call serves every chain.  Each block
@@ -14,9 +18,9 @@ is an updater over the shared state (_State: parameters, psi, clamped psi,
 lambda); the log-density math they use is the row-wise kernels of model.py.
 
 Determinism: every chain owns a PCG64 generator spawned from the config
-seed, random numbers are consumed in fixed-size blocks each sweep, and
-each chain's arithmetic reads only its own rows, so results are
-bit-identical across runs and whatever chains share the batch.
+seed and draws its sweep's random numbers in a fixed number of calls of
+fixed size, and each chain's arithmetic reads only its own rows, so results
+are bit-identical across runs and whatever chains share the batch.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lapack
 from scipy.special import gammaln
 
 from . import evaluate
@@ -322,21 +327,47 @@ def _center_rows(phi, members, flat):
     return mean
 
 
+# Bordering a precision matrix P with a vector g as [[P, g], [g', _BORDER]]
+# puts L^-1 g in the last row of its Cholesky factor, where P = L L'.
+# _BORDER only has to exceed g' P^-1 g to keep the bordered matrix positive
+# definite, and its own square root does not enter the results.
+_BORDER = 1e300
+
+
 class _Target:
     """What the chains sample, fixed for a run: per-chain data rows, centred
-    designs, priors and the spatial tables."""
+    designs, priors, the spatial tables and the layout of a sweep's random
+    numbers."""
 
     def __init__(self, y, Xc, offset, spatial, spec, labels):
         K, n = y.shape
-        self.y, self.Xc, self.offset, self.spec = y, Xc, offset, spec
-        self.XcT = np.stack([x.T for x in Xc], axis=1)  # (p, K, n): column j of each design
-        self.col_reach = np.abs(self.XcT).max(axis=2)
-        self.y_x = np.stack([self.XcT[:, k] @ y[k] for k in range(K)], axis=1)
+        p = len(labels)
+        self.y, self.offset, self.spec = y, offset, spec
+        # The chains of one data set share its design and form a group.  Per
+        # group: its rows, X' (p x n) and, per zone, the lower triangle of
+        # x_i x_i' followed by x_i, so that lam @ table is X' diag(lam) X
+        # packed, then X' lam.
+        tri = np.tril_indices(p)
+        self.designs = []
+        start = 0
+        for k in range(1, K + 1):
+            if k == K or Xc[k] is not Xc[start]:
+                x = Xc[start]
+                self.designs.append((slice(start, k), np.ascontiguousarray(x.T),
+                                     np.concatenate([x[:, tri[0]] * x[:, tri[1]], x], axis=1)))
+                start = k
+        packed = np.zeros((p, p), dtype=int)
+        packed[tri] = np.arange(len(tri[0]))
+        self.n_tri = len(tri[0])
+        self.unpack = np.where(np.tri(p, dtype=bool), packed, packed.T).ravel()
+        self.y_x = self.weighted_gram(y)[:, self.n_tri:]
         self.lgamma_y = np.add.reduce(gammaln(y + 1.0), axis=1)
         self.prior_mean = np.array([spec.prior_for(lbl).mean for lbl in labels])
         self.prior_var = np.array([spec.prior_for(lbl).variance for lbl in labels])
-        self.has_theta = spec.include_theta
-        self.has_phi = spec.include_phi and spatial is not None
+        self.prior_prec = np.zeros(self.n_tri)
+        self.prior_prec[np.diag(packed)] = 1.0 / self.prior_var
+        self.has_theta = bool(spec.include_theta)
+        self.has_phi = bool(spec.include_phi) and spatial is not None
         self.sample_sigma = self.has_theta and spec.fixed_sigma_theta2 is None
         self.sample_tau = self.has_phi and spec.fixed_tau_c is None
         if self.has_phi:
@@ -354,19 +385,65 @@ class _Target:
             self.component_count = spatial["component_count"]
             self.inactive = ~spatial["active"]
             self.exact_recenter = spatial["exact_recenter"]
+        # Shapes of the conjugate draws, sigma2's before tau's.
+        shapes = []
+        if self.sample_sigma:
+            shapes.append(_sigma_theta_posterior(np.zeros((1, n)), spec.sigma_theta_prior)[0])
+        if self.sample_tau:
+            shapes.append(_tau_c_posterior(np.zeros((1, n)), *self.edges, self.component_count,
+                                           spec.tau_c_prior)[0])
+        self.gamma_shapes = shapes
+        self.twice_scale_shapes = 2.0 * np.array([spec.sigma_theta_prior.shape,
+                                                  spec.tau_c_prior.shape])
+        # A chain's normals and uniforms for one sweep, block by block; the
+        # scaling moves take two of each, whichever of them run.
+        theta, phi = (n if self.has_theta else 0), (n if self.has_phi else 0)
+        self.normals = _layout(beta=p, theta=theta, phi=phi, scale=2)
+        self.uniforms = _layout(beta=1, theta=theta, phi=phi, scale=2)
+
+    def times_design(self, a):
+        """Per chain, X a[k]: one matrix-vector product per row, which a
+        product spanning the rows would not give bit for bit."""
+        parts = [np.matmul(a[rows, None, :], xt)[:, 0] for rows, xt, _ in self.designs]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def weighted_gram(self, lam):
+        """Per chain, X' diag(lam[k]) X packed, then X' lam[k], from one
+        matrix product per pair of a group's rows (an odd group's last pair
+        overlaps the one before).  A product over more rows starts BLAS
+        worker threads and blocked kernels whose buffers slow the
+        elementwise work that follows: 4-7% of a sweep at 16 chains.  A row
+        comes out the same in any pair (checked by
+        test_chains_do_not_depend_on_batch_width)."""
+        parts = []
+        for rows, _, table in self.designs:
+            for k in range(rows.start, rows.stop, 2):
+                first = min(k, rows.stop - 2)
+                parts.append((lam[first:first + 2] @ table)[k - first:])
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _layout(**sizes):
+    """Consecutive slices of the given sizes, by name, and their total."""
+    slices, at = {}, 0
+    for name, size in sizes.items():
+        slices[name] = slice(at, at + size)
+        at += size
+    return slices, at
 
 
 class _State:
     """The chains' current values, one row per chain: parameters, the linear
     predictor psi, its clamped copy psic, lam = exp(psic), and acceptance
-    counts."""
+    counts (the scaling moves' in two columns, theta's move then phi's)."""
 
     def __init__(self, beta, theta, phi, sigma2, tau):
         self.beta, self.theta, self.phi = beta, theta, phi
         self.sigma2, self.tau = sigma2, tau
-        self.acc_beta = np.zeros(beta.shape)
+        self.acc_beta = np.zeros(len(beta))
         self.acc_theta = np.zeros(theta.shape)
         self.acc_phi = np.zeros(phi.shape)
+        self.acc_scale = np.zeros((len(beta), 2))
 
     def set_psi(self, psi):
         """Take psi and derive its clamped copy and lambda from it."""
@@ -377,48 +454,92 @@ class _State:
 
 def _refresh(s, t):
     """Recompute psi from the parameters, dropping incremental drift."""
-    psi = np.stack([x @ b for x, b in zip(t.Xc, s.beta)]) + s.theta + s.phi
+    psi = t.times_design(s.beta) + s.theta + s.phi
     if t.offset is not None:
         psi = psi + t.offset
     s.set_psi(psi)
 
 
-def _update_beta(s, t, z, u, scale):
-    """Scalar random-walk Metropolis on each coefficient in turn."""
-    # A coefficient's proposal, prior ratio and shift of psi do not depend
-    # on the moves before it in the sweep, so they are formed up front.
-    prop = s.beta + scale * z
-    move = (prop - s.beta).T
-    shift = t.XcT * move[:, :, None]
-    dprior = _gauss_log_ratio(prop - t.prior_mean, s.beta - t.prior_mean, t.prior_var).T
-    # In a chain whose largest |psi| plus all proposed moves stays inside
-    # the clamp, clipping is the identity and the likelihood gain
-    # y @ (psi_new - psi) of move j is move * (y @ X_j).
-    clip_free = (np.abs(s.psi).max(axis=1) + np.add.reduce(np.abs(move) * t.col_reach, axis=0)
-                 < PSI_CLAMP * (1.0 - 1e-9))
-    all_free = clip_free.all()
-    # Move j is taken where lam_sum_new - lam_sum - gain < dprior - log u.
-    slack = dprior - np.log(u).T
-    np.add(slack, move * t.y_x, out=slack, where=clip_free)
-    took = []
-    psi = s.psi
-    lam_sum = np.add.reduce(s.lam, axis=1)
-    for j in range(len(move)):
-        psi_new = psi + shift[j]
-        psic_new = psi_new if all_free else _clamp(psi_new)
-        lam_new_sum = np.add.reduce(np.exp(psic_new), axis=1)
-        d_lam = lam_new_sum - lam_sum
-        if not all_free:
-            gain = np.add.reduce(t.y * (psic_new - _clamp(psi)), axis=1)
-            np.subtract(d_lam, gain, out=d_lam, where=~clip_free)
-        take = d_lam < slack[j]
-        took.append(take)
-        np.copyto(psi, psi_new, where=take[:, None])
-        np.copyto(lam_sum, lam_new_sum, where=take)
-    s.set_psi(psi)
-    took = np.array(took).T
-    np.copyto(s.beta, prop, where=took)
-    s.acc_beta += took
+def _psi_move(s, t, psi_new):
+    """Clamped psi and lambda at psi_new, and each row's log-likelihood change
+    from the current psi."""
+    psic_new = _clamp(psi_new)
+    lam_new = np.exp(psic_new)
+    change = np.add.reduce(_loglik_terms(t.y, psic_new - s.psic, lam_new - s.lam), axis=1)
+    return psic_new, lam_new, change
+
+
+def _take_psi(s, take, psi_new, psic_new, lam_new):
+    """Move psi, psic and lam to their new values in the rows where take is
+    set; the new arrays must be fresh, as they may become the state's."""
+    if take.all():
+        s.psi, s.psic, s.lam = psi_new, psic_new, lam_new
+    elif take.any():
+        rows = take[:, None]
+        np.copyto(s.psi, psi_new, where=rows)
+        np.copyto(s.psic, psic_new, where=rows)
+        np.copyto(s.lam, lam_new, where=rows)
+
+
+def _iwls(t, lam, beta):
+    """Per chain, the precision P = X' diag(lam) X + diag(1 / v0) and the
+    gradient g = X'(y - lam) - (beta - mu0) / v0 of the coefficients' log
+    conditional at beta: P^-1 g is the Newton (IWLS) step."""
+    K, p = beta.shape
+    table = t.weighted_gram(lam)
+    P = (table[:, :t.n_tri] + t.prior_prec).take(t.unpack, axis=1).reshape(K, p, p)
+    return P, t.y_x - table[:, t.n_tri:] - (beta - t.prior_mean) / t.prior_var
+
+
+def _cholesky(A):
+    """Lower Cholesky factor of each matrix of a stack, one LAPACK call per
+    matrix, so that a chain's factor does not depend on the chains beside it
+    (at two chains this is also cheaper than numpy's batched call).  A matrix
+    that is not numerically positive definite (a chain driven into the psi
+    clamp makes its precision ill-conditioned) gets a factor of NaNs, which
+    makes its chain's proposal and acceptance ratio NaN: the chain keeps its
+    beta."""
+    L = np.empty(A.shape)
+    for k, a in enumerate(A):
+        factor, info = lapack.dpotrf(a, lower=1, clean=1)
+        L[k] = factor if info == 0 else np.nan
+    return L
+
+
+def _update_beta(s, t, z, u):
+    """One Metropolis-Hastings step of all coefficients (Gamerman 1997): the
+    proposal is N(beta + P^-1 g, P^-1) with P and g from _iwls at the current
+    beta, and the reverse density takes them at the proposal."""
+    K, p = s.beta.shape
+    P, g = _iwls(t, s.lam, s.beta)
+    L = _cholesky(P)
+    # P^-1 (g + L z) has mean P^-1 g and covariance P^-1.
+    rhs = g + (L @ z[:, :, None])[:, :, 0]
+    step = np.array([lapack.dpotrs(factor, b, lower=1)[0] for factor, b in zip(L, rhs)])
+    prop = s.beta + step
+    psi_new = s.psi + t.times_design(step)
+    psic_new, lam_new, dlik = _psi_move(s, t, psi_new)
+    P_new, g_new = _iwls(t, lam_new, prop)
+    # The reverse step's quadratic form is r' P'^-1 r with r = P' step + g'.
+    # Factoring P' bordered by r, [[P', r], [r', _BORDER]], gives L' and
+    # w = L'^-1 r in one call, so the form is w' w.
+    bordered = np.empty((K, p + 1, p + 1))
+    bordered[:, :p, :p] = P_new
+    bordered[:, p, :p] = bordered[:, :p, p] = (P_new @ step[:, :, None])[:, :, 0] + g_new
+    bordered[:, p, p] = _BORDER
+    L_new = _cholesky(bordered)
+    w = L_new[:, p, :p]
+    # Per coefficient: the log ratio of the factors' diagonals (the half
+    # log-determinants of q(beta | prop) over q(prop | beta)), half the forward
+    # quadratic form z' z less the reverse one w' w, and the prior ratio
+    # ((beta - mu0)^2 - (prop - mu0)^2) / 2 v0 = -step (beta + prop - 2 mu0) / 2 v0.
+    log_r = np.log(np.diagonal(L_new, axis1=1, axis2=2)[:, :p] / np.diagonal(L, axis1=1, axis2=2))
+    log_r += 0.5 * (z * z - w * w - step * (s.beta + prop - 2.0 * t.prior_mean) / t.prior_var)
+    take = np.log(u[:, 0]) < dlik + np.add.reduce(log_r, axis=1)
+    if take.any():
+        np.copyto(s.beta, prop, where=take[:, None])
+        _take_psi(s, take, psi_new, psic_new, lam_new)
+        s.acc_beta += take
 
 
 def _shift_effect(s, effect, acc, cur, prop, log_prior_ratio, y, logu, cols=None):
@@ -471,13 +592,53 @@ def _update_phi(s, t, z, u, scale):
                       logu.take(members, axis=1), (members, flat))
 
 
-def _update_hyper(s, t, g_sigma, g_tau):
-    """Conjugate draws from standard gamma variates g of the posterior shapes."""
+def _update_hyper(s, t, g):
+    """Conjugate draws from standard gamma variates g of the posterior shapes
+    (t.gamma_shapes: sigma2's column, then tau's)."""
     if t.sample_sigma:
-        s.sigma2 = _sigma_theta_posterior(s.theta, t.spec.sigma_theta_prior)[1] / g_sigma
+        s.sigma2 = _sigma_theta_posterior(s.theta, t.spec.sigma_theta_prior)[1] / g[:, 0]
     if t.sample_tau:
-        s.tau = g_tau / _tau_c_posterior(s.phi, *t.edges, t.component_count,
-                                         t.spec.tau_c_prior)[1]
+        s.tau = g[:, -1] / _tau_c_posterior(s.phi, *t.edges, t.component_count,
+                                            t.spec.tau_c_prior)[1]
+
+
+def _rescale(s, t, effect, c, bar):
+    """Metropolis step multiplying each row of effect by its c, with psi, psic
+    and lam moving alongside, taken where the log-likelihood gain exceeds bar.
+    Returns the rows where it was taken."""
+    psi_new = s.psi + (c - 1.0)[:, None] * effect
+    psic_new, lam_new, dlik = _psi_move(s, t, psi_new)
+    take = dlik > bar
+    if take.any():
+        effect *= np.where(take, c, 1.0)[:, None]
+        _take_psi(s, take, psi_new, psic_new, lam_new)
+    return take
+
+
+def _update_scale(s, t, z, u, step):
+    """Joint scaling moves (Liu & Sabatti 2000), each where its hyperparameter
+    is sampled: with c = exp(eps) and eps = step z, column 0 for theta's move
+    and 1 for phi's, (theta, sigma2) -> (c theta, c^2 sigma2) and
+    (phi, tau) -> (c phi, tau / c^2).  Both scale an effect by c and its
+    precision h (1 / sigma2, tau) by 1 / c^2.  The effect's prior density and
+    the Jacobian cancel up to c^-2a for a gamma prior of shape a and rate b on
+    h, so log r = dlik - 2 a eps - b (h' - h).  phi scales on its
+    (n - G)-dimensional sum-to-zero subspace: component sums and islands stay
+    at zero."""
+    eps = step * z
+    c = np.exp(eps)
+    bar = np.log(u) + t.twice_scale_shapes * eps
+    if t.sample_sigma:
+        new = c[:, 0] * c[:, 0] * s.sigma2
+        take = _rescale(s, t, s.theta, c[:, 0], bar[:, 0] + t.spec.sigma_theta_prior.rate
+                        * (1.0 / new - 1.0 / s.sigma2))
+        s.sigma2 = np.where(take, new, s.sigma2)
+        s.acc_scale[:, 0] += take
+    if t.sample_tau:
+        new = s.tau / (c[:, 1] * c[:, 1])
+        take = _rescale(s, t, s.phi, c[:, 1], bar[:, 1] + t.spec.tau_c_prior.rate * (new - s.tau))
+        s.tau = np.where(take, new, s.tau)
+        s.acc_scale[:, 1] += take
 
 
 def _recenter(s, t):
@@ -490,6 +651,26 @@ def _recenter(s, t):
         # Projection without compensation: with several components
         # (or islands) a single intercept cannot absorb the means.
         _refresh(s, t)
+
+
+def _sweep(s, t, z, u, g, steps):
+    """One sweep of every block from the sweep's normals z, uniforms u and
+    standard gammas g (one row per chain, laid out as t.normals, t.uniforms
+    and t.gamma_shapes say) and the adapted step sizes."""
+    zs, us = t.normals[0], t.uniforms[0]
+    _update_beta(s, t, z[:, zs["beta"]], u[:, us["beta"]])
+    # The effects' blocks take contiguous copies: strided views of the rows
+    # slow their elementwise work.
+    if t.has_theta:
+        _update_theta(s, t, np.ascontiguousarray(z[:, zs["theta"]]),
+                      np.ascontiguousarray(u[:, us["theta"]]), steps["theta"])
+    if t.has_phi:
+        _update_phi(s, t, np.ascontiguousarray(z[:, zs["phi"]]),
+                    np.ascontiguousarray(u[:, us["phi"]]), steps["phi"])
+    _update_hyper(s, t, g)
+    if t.has_phi:
+        _recenter(s, t)
+    _update_scale(s, t, z[:, zs["scale"]], u[:, us["scale"]], steps["scale"])
 
 
 def _run_chains(seeds, y, Xc, offset, spatial, spec, config, beta_center, beta_se, labels):
@@ -526,13 +707,13 @@ def _run_chains(seeds, y, Xc, offset, spatial, spec, config, beta_center, beta_s
                np.full(K, spec.fixed_tau_c if spec.fixed_tau_c is not None else 1.0))
     _refresh(s, t)
 
-    beta_scale = np.maximum(2.4 * np.asarray(beta_se), 1e-3)
-    theta_scale = np.full((K, n), 0.5)
-    phi_scale = np.full((K, n), 0.5)
-    if t.sample_sigma:
-        sigma_shape = _sigma_theta_posterior(theta, spec.sigma_theta_prior)[0]
-    if t.sample_tau:
-        tau_shape = _tau_c_posterior(phi, *t.edges, t.component_count, spec.tau_c_prior)[0]
+    # Step sizes of the adapted blocks and the acceptance counts they adapt to.
+    steps = {"theta": np.full((K, n), 0.5), "phi": np.full((K, n), 0.5),
+             "scale": np.full((K, 2), 0.2)}
+    counts = {name: acc for name, acc, used in (("theta", s.acc_theta, t.has_theta),
+                                                ("phi", s.acc_phi, t.has_phi),
+                                                ("scale", s.acc_scale, True)) if used}
+    batch_start = {name: acc.copy() for name, acc in counts.items()}
 
     total = config.burn_in + config.iters
     kept = len(range(config.burn_in, total, config.thin))
@@ -545,47 +726,29 @@ def _run_chains(seeds, y, Xc, offset, spatial, spec, config, beta_center, beta_s
     sum_phi = np.zeros((K, n))
     sum_lam = np.zeros((K, n))
 
-    # Acceptance counts at the start of the current adaptation batch.
-    batch_start = (s.acc_beta.copy(), s.acc_theta.copy(), s.acc_phi.copy())
     clamp_events = np.zeros(K, dtype=int)
     adaptation_frozen = False
     kept_idx = 0
 
-    z_beta, u_beta = np.empty((K, p)), np.empty((K, p))
-    z_theta, u_theta = np.empty((K, n)), np.empty((K, n))
-    z_phi, u_phi = np.empty((K, n)), np.empty((K, n))
-    g_sigma, g_tau = np.empty(K), np.empty(K)
+    z, u = np.empty((K, t.normals[1])), np.empty((K, t.uniforms[1]))
+    g = np.empty((K, len(t.gamma_shapes)))
 
     for sweep in range(total):
         in_burn = sweep < config.burn_in
 
         # Each chain's random numbers for the sweep, in a lone chain's order.
         for k, rng in enumerate(rngs):
-            rng.standard_normal(out=z_beta[k])
-            rng.random(out=u_beta[k])
-            if t.has_theta:
-                rng.standard_normal(out=z_theta[k])
-                rng.random(out=u_theta[k])
-            if t.has_phi:
-                rng.standard_normal(out=z_phi[k])
-                rng.random(out=u_phi[k])
-            if t.sample_sigma:
-                g_sigma[k] = rng.standard_gamma(sigma_shape)
-            if t.sample_tau:
-                g_tau[k] = rng.standard_gamma(tau_shape)
-
-        _update_beta(s, t, z_beta, u_beta, beta_scale)
-        if t.has_theta:
-            _update_theta(s, t, z_theta, u_theta, theta_scale)
-        if t.has_phi:
-            _update_phi(s, t, z_phi, u_phi, phi_scale)
-        _update_hyper(s, t, g_sigma, g_tau)
-        if t.has_phi:
-            _recenter(s, t)
+            rng.standard_normal(out=z[k])
+            rng.random(out=u[k])
+            for j, shape in enumerate(t.gamma_shapes):
+                g[k, j] = rng.standard_gamma(shape)
+        _sweep(s, t, z, u, g, steps)
 
         size = np.abs(s.psi)
-        clamp_events += np.add.reduce(size > PSI_CLAMP, axis=1)
-        if not (size.max() < np.inf and np.isfinite(s.beta).all()
+        peak = size.max()
+        if peak > PSI_CLAMP:
+            clamp_events += np.add.reduce(size > PSI_CLAMP, axis=1)
+        if not (peak < np.inf and np.isfinite(s.beta).all()
                 and s.sigma2.min() > 0 and s.tau.min() > 0):
             healthy = (np.isfinite(s.psi).all(axis=1) & np.isfinite(s.beta).all(axis=1)
                        & (s.sigma2 > 0) & (s.tau > 0))
@@ -595,18 +758,14 @@ def _run_chains(seeds, y, Xc, offset, spatial, spec, config, beta_center, beta_s
                 f"max|psi|={np.abs(s.psi[k]).max():.3g}, sigma2={s.sigma2[k]:.3g}, "
                 f"tau={s.tau[k]:.3g}")
 
-        # --- proposal adaptation, burn-in only ---
+        # --- step-size adaptation, burn-in only ---
         if in_burn and (sweep + 1) % _ADAPT_BATCH == 0:
             batch = (sweep + 1) // _ADAPT_BATCH
             step = min(0.1, 1.0 / math.sqrt(batch))
-            counts = (s.acc_beta, s.acc_theta, s.acc_phi)
-            rates = [(acc - start) / _ADAPT_BATCH for acc, start in zip(counts, batch_start)]
-            beta_scale *= np.exp(np.where(rates[0] > config.target_accept, step, -step))
-            if t.has_theta:
-                theta_scale *= np.exp(np.where(rates[1] > config.target_accept, step, -step))
-            if t.has_phi:
-                phi_scale *= np.exp(np.where(rates[2] > config.target_accept, step, -step))
-            batch_start = tuple(acc.copy() for acc in counts)
+            for name, acc in counts.items():
+                rate = (acc - batch_start[name]) / _ADAPT_BATCH
+                steps[name] *= np.exp(np.where(rate > config.target_accept, step, -step))
+                batch_start[name] = acc.copy()
         if sweep == config.burn_in - 1:
             adaptation_frozen = True
 
@@ -806,10 +965,11 @@ def _assemble(res, inp, spatial, spec, config) -> PosteriorReport:
     except DomainError:
         r2 = float("nan")
 
-    acceptance = {"beta": float(np.mean([a.mean() for a in res["acc_beta"]]))}
+    acceptance = {"beta": float(res["acc_beta"].mean())}
     if spec.include_theta:
         acceptance["theta"] = float(np.mean([a.mean() for a in res["acc_theta"]]))
-    if spatial is not None:
+    # Islands are never updated; with no zone that has neighbours there is no rate.
+    if spatial is not None and spatial["active"].any():
         active = spatial["active"]
         acceptance["phi"] = float(np.mean([a[active].mean() for a in res["acc_phi"]]))
 

@@ -138,11 +138,6 @@ def _clamp(psi):
     return np.minimum(np.maximum(psi, -PSI_CLAMP), PSI_CLAMP)
 
 
-def _row_dot(a, b):
-    """Per-row a[k] @ b[k], each the dot product a lone row takes."""
-    return np.array([float(u @ v) for u, v in zip(a, b)])
-
-
 def _row_sd(v):
     """Row-wise v.std(ddof=1), bit for bit, without the method's per-call overhead."""
     n = v.shape[1]
@@ -152,6 +147,8 @@ def _row_sd(v):
 
 # Row-wise kernels: rows are chains, columns zones.  The sampler calls them
 # every sweep and the public functions below are their one-row callers.
+# Row sums are np.add.reduce over axis 1 of C-ordered arrays, which sums each
+# row on its own, so a row's result does not depend on the rows beside it.
 
 def _loglik_terms(y, psi, lam):
     """Pointwise y * psi - lam, the Poisson log-likelihood without its
@@ -162,8 +159,9 @@ def _loglik_terms(y, psi, lam):
 
 def _row_loglik(y, psic, lam, lgamma_y):
     """Per-row Poisson log-likelihood at clamped psi and lam = exp(psic);
-    lgamma_y holds each row's sum of log(y!)."""
-    return _row_dot(y, psic) - np.add.reduce(lam, axis=1) - lgamma_y
+    lgamma_y holds each row's sum of log(y!).  Every deviance, per draw or
+    at the posterior means, is -2 times this."""
+    return np.add.reduce(_loglik_terms(y, psic, lam), axis=1) - lgamma_y
 
 
 def _gauss_log_ratio(new, old, var):
@@ -193,7 +191,8 @@ def _icar_pairwise(phi, ei, ej, ew):
 
 def _sigma_theta_posterior(theta, prior: GammaPrior) -> tuple:
     """Conjugate inverse-gamma shape and per-row rates for sigma_theta^2."""
-    return prior.shape + theta.shape[1] / 2.0, prior.rate + _row_dot(theta, theta) / 2.0
+    return (prior.shape + theta.shape[1] / 2.0,
+            prior.rate + np.add.reduce(theta * theta, axis=1) / 2.0)
 
 
 def _tau_c_posterior(phi, ei, ej, ew, component_count: int, prior: GammaPrior) -> tuple:
@@ -208,7 +207,8 @@ def _alpha_share(theta, phi):
     sds are zero or there is a single zone."""
     out = np.full(len(theta), np.nan)
     if theta.shape[1] > 1:
-        sd_t, sd_p = _row_sd(theta), _row_sd(phi)
+        sd = _row_sd(np.concatenate([theta, phi]))
+        sd_t, sd_p = sd[:len(theta)], sd[len(theta):]
         spread = sd_t + sd_p
         np.divide(sd_p, spread, out=out, where=spread > 0)
     return out
@@ -222,7 +222,8 @@ def poisson_loglik(y, lam) -> float:
         raise DomainError("lambda must be positive")
     if np.any(y < 0) or np.any(y != np.floor(y)):
         raise DomainError("y must be nonnegative integers")
-    return float(np.sum(_loglik_terms(y, np.log(lam), lam) - gammaln(y + 1.0)))
+    y, lam = y.reshape(1, -1), lam.reshape(1, -1)
+    return float(_row_loglik(y, np.log(lam), lam, np.add.reduce(gammaln(y + 1.0), axis=1))[0])
 
 
 def icar_pairwise_sum(phi: np.ndarray, W: ProximityMatrix) -> float:

@@ -1,14 +1,17 @@
 """Independent oracles the tests check the implementation against.
 
 Nothing here shares code with the package's algorithms: betweenness comes
-from explicit enumeration of shortest paths, and the small-model posterior
-comes from dense numerical integration on a grid.
+from explicit enumeration of shortest paths, the small-model posterior
+comes from dense numerical integration on a grid, and the model's joint
+density and prior draws come from scipy.stats and a dense eigendecomposition
+of the CAR precision.
 """
 
 import heapq
 import itertools
 
 import numpy as np
+from scipy import stats
 
 
 def _distances(n, adj, source, weighted):
@@ -168,3 +171,44 @@ def grid_posterior_toy(y, x, edge_pairs, tau_c, beta_prior_var=1000.0,
             total_b0 += w * b0
             total_b1 += w * b1
     return total_b0 / total_w, total_b1 / total_w
+
+
+def icar_structure(W_dense):
+    """Eigenpairs of the ICAR precision D - W on its nonzero spectrum: the
+    constrained subspace (zero sum on every component, zero on islands)."""
+    Q = np.diag(W_dense.sum(axis=1)) - W_dense
+    values, vectors = np.linalg.eigh(Q)
+    keep = values > 1e-9 * max(1.0, values.max())
+    return values[keep], vectors[:, keep]
+
+
+def log_joint(y, X, W_dense, beta, theta, phi, sigma2, tau, prior_mean, prior_var,
+              sigma_prior, tau_prior, clamp=30.0):
+    """log p(y, beta, theta, phi, sigma2, tau) up to a constant, for phi on
+    the constrained subspace: Poisson counts at lambda = exp(psi clipped to
+    +-clamp), normal coefficient priors, theta ~ N(0, sigma2), the ICAR
+    density tau^((n - G) / 2) exp(-tau phi'(D - W)phi / 2), sigma2 ~
+    inverse-gamma(shape, scale=rate) and tau ~ gamma(shape, rate).  The
+    priors are (shape, rate) pairs."""
+    values, _ = icar_structure(W_dense)
+    Q = np.diag(W_dense.sum(axis=1)) - W_dense
+    psi = np.clip(X @ beta + theta + phi, -clamp, clamp)
+    return float(stats.poisson.logpmf(y, np.exp(psi)).sum()
+                 + stats.norm.logpdf(beta, prior_mean, np.sqrt(prior_var)).sum()
+                 + stats.norm.logpdf(theta, 0.0, np.sqrt(sigma2)).sum()
+                 + 0.5 * len(values) * np.log(tau) - 0.5 * tau * phi @ Q @ phi
+                 + stats.invgamma.logpdf(sigma2, sigma_prior[0], scale=sigma_prior[1])
+                 + stats.gamma.logpdf(tau, tau_prior[0], scale=1.0 / tau_prior[1]))
+
+
+def draw_prior(rng, X, W_dense, prior_mean, prior_var, sigma_prior, tau_prior):
+    """One forward draw (beta, theta, phi, sigma2, tau, y) of the model
+    log_joint describes, phi drawn on the constrained subspace."""
+    values, vectors = icar_structure(W_dense)
+    beta = rng.normal(prior_mean, np.sqrt(prior_var))
+    sigma2 = sigma_prior[1] / rng.gamma(sigma_prior[0])
+    theta = rng.normal(0.0, np.sqrt(sigma2), size=len(X))
+    tau = rng.gamma(tau_prior[0]) / tau_prior[1]
+    phi = vectors @ (rng.standard_normal(len(values)) / np.sqrt(tau * values))
+    y = rng.poisson(np.exp(X @ beta + theta + phi))
+    return beta, theta, phi, sigma2, tau, y

@@ -271,6 +271,19 @@ class TestFitCommand:
                                       "--weights", str(data)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("damage,message", [
+        (lambda text: text.replace("\n", "\n0,1.0\n", 1), "zones.csv:2: expected 11 fields, got 2"),
+        (lambda text: text.replace("Grid", "Gr\xefd", 1), "zones.csv: not UTF-8 text"),
+    ])
+    def test_bad_dataset_row_exit_2(self, runner, tmp_path, damage, message):
+        data, _, topology = simulate_small(runner, tmp_path, seed=5, lattice=3)
+        data.write_bytes(damage(data.read_text()).encode("latin-1"))
+        result = runner.invoke(main, ["fit", "--data", str(data), "--weights", str(topology),
+                                      "--burnin", "5", "--iters", "5"])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert isinstance(result.exception, SystemExit)
+
 
 class TestRecoverCommand:
     def test_single_rep_smoke(self, runner, tmp_path):

@@ -82,6 +82,23 @@ class TestLoadDataset:
         loaded = load_dataset(write_csv(tmp_path, rows))
         assert "non-numeric" in loaded.errors[0]
 
+    def test_bad_rows_are_reported_at_their_line(self, tmp_path):
+        rows = [GOOD_ROW, "1,2.0,9.5", GOOD_ROW + ",extra", "",
+                GOOD_ROW.replace(",5", ",99999999999999999999")]
+        p = write_csv(tmp_path, rows)
+        loaded = load_dataset(p)
+        assert len(loaded.records) == 1
+        assert loaded.errors[0] == f"{p}:3: expected 11 fields, got 3"
+        assert loaded.errors[1] == f"{p}:4: expected 11 fields, got 12"
+        assert loaded.errors[2].startswith(f"{p}:6: zone 0: crash_count must be an integer")
+
+    def test_non_utf8_rejected(self, tmp_path):
+        p = tmp_path / "zones.csv"
+        row = GOOD_ROW.replace("Grid", "Gr\xeffd")
+        p.write_bytes((HEADER + "\n" + row + "\n").encode("latin-1"))
+        with pytest.raises(ValidationError, match=f"^{p}: not UTF-8 text"):
+            load_dataset(p)
+
     def test_missing_column_raises(self, tmp_path):
         p = tmp_path / "zones.csv"
         p.write_text("zone_id,area_km2\n0,3.0\n")

@@ -1,6 +1,7 @@
 """Fuzzed input files: every reader returns or raises a ValidationError that
-starts with the file's path, and every command that reads a file ends in
-exit 0, 2, 3 or 4 without a traceback.
+starts with the file's path (the dataset reader also reports each bad row
+there), and every command that reads a file ends in exit 0, 2, 3 or 4
+without a traceback.
 
 Examples are derandomised so the suite is repeatable.
 """
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tazcar.centrality import read_edge_list
 from tazcar.cli import main
+from tazcar.dataset import DATASET_COLUMNS, load_dataset
 from tazcar.errors import ValidationError
 from tazcar.model import ModelSpec
 from tazcar.synth import default_truth
@@ -59,6 +61,37 @@ TEXT = st.one_of(
     texts(([], [["zones", "9"]], [["zones", "9"], ["mode", "lane_count"]],
            [["mode", "boundary_length"]]), entry(IDS, IDS, SIZES)),
 )
+
+# Dataset rows: the fields of a good row, each maybe replaced by a value that
+# is out of range, not a number, empty, quoted or carrying a comma.  Rows may
+# be short or long; one line may hold bytes that are not UTF-8.
+GOOD_FIELDS = ("0", "3.0", "9.9", "9.8", "3.1", "2.08", "1.74", "3.1", "Grid", "Industrial", "5")
+FIELD_WORDS = ("1", "-1", "0", "-0", "2.5", "nan", "inf", "-inf", "1e400", "abc", "",
+               "99999999999999999999", "Mixed", "Parkland", '"', '"a,b"', " 5 ")
+
+
+def _row(changes, size):
+    fields = list(GOOD_FIELDS)
+    for at, word in changes:
+        fields[at % len(fields)] = word
+    return (fields + ["7"] * size)[:size]
+
+
+ROWS = st.builds(_row, st.lists(st.tuples(st.integers(0, 10), st.sampled_from(FIELD_WORDS)),
+                                max_size=2),
+                 st.sampled_from((11, 11, 11, 10, 12, 1)))
+
+
+def _csv(header, rows, junk, at):
+    lines = [",".join(header)] + [",".join(r) for r in rows]
+    data = "".join(line + "\n" for line in lines).encode()
+    return data[:at] + junk + data[at:] if junk else data
+
+
+CSV = st.builds(_csv, st.sampled_from((DATASET_COLUMNS, DATASET_COLUMNS[:-1],
+                                       DATASET_COLUMNS + ("notes",))),
+                st.lists(ROWS, max_size=6), st.sampled_from((b"", b"", b"\xff", b"\x00")),
+                st.integers(0, 400))
 
 VALUES = (0, -1, 2.5, float("inf"), float("nan"), "abc", None, True, [], {}, [1], ["abc"],
           {"mean": "abc"}, {"mean": 0.0, "variance": -1.0}, {"shape": 1.0, "rate": 0.0},
@@ -152,3 +185,27 @@ def test_report_exits_cleanly(tmp_path, runner, inputs, data):
     path = tmp_path / "other.json"
     path.write_text(text)
     exits_cleanly(runner, ["compare", report, path])
+
+
+@FUZZ
+@given(data=CSV)
+def test_dataset_reader_returns_or_rejects_at_path(tmp_path, data):
+    path = tmp_path / "zones.csv"
+    path.write_bytes(data)
+    try:
+        loaded = load_dataset(path)
+    except ValidationError as exc:
+        assert str(exc).startswith(f"{path}:")
+    else:
+        assert all(err.startswith(f"{path}:") for err in loaded.errors)
+
+
+@FUZZ
+@given(data=CSV)
+def test_dataset_exits_cleanly(tmp_path, runner, inputs, data):
+    _, topology, _ = inputs
+    path = tmp_path / "zones.csv"
+    path.write_bytes(data)
+    exits_cleanly(runner, ["summary", "--data", path])
+    exits_cleanly(runner, ["fit", "--data", path, "--weights", topology,
+                           "--burnin", 5, "--iters", 5])

@@ -107,7 +107,7 @@ class TestPoissonLoglik:
             poisson_loglik(-1, 1.0)
 
     def test_sampler_rows_match(self):
-        # the sampler's per-row form (a dot product) agrees with the public one
+        # the sampler's per-row form agrees with the public one
         rng = np.random.default_rng(3)
         y = rng.poisson(4.0, size=(3, 12)).astype(float)
         psic = rng.normal(1.2, 0.5, size=(3, 12))
