@@ -108,6 +108,8 @@ class RoadGraph:
 
     node_count: int
     edges: tuple = ()
+    # Raw betweenness by metric, filled by _betweenness.
+    _raw_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.node_count < 1:
@@ -219,6 +221,17 @@ def _raw_betweenness(graph: RoadGraph, metric: str) -> np.ndarray:
     return raw
 
 
+def _betweenness(graph: RoadGraph, metric: str) -> np.ndarray:
+    """Raw betweenness of graph under metric, read-only: one Brandes pass per
+    graph and metric, however many callers ask."""
+    cache = graph._raw_cache
+    if metric not in cache:
+        raw = _raw_betweenness(graph, metric)
+        raw.setflags(write=False)
+        cache[metric] = raw
+    return cache[metric]
+
+
 def node_betweenness(graph: RoadGraph, metric: str = HOP_COUNT) -> np.ndarray:
     """Normalized betweenness of every node, counting ordered pairs.
 
@@ -233,7 +246,7 @@ def node_betweenness(graph: RoadGraph, metric: str = HOP_COUNT) -> np.ndarray:
     if not graph.is_connected():
         warnings.warn("graph is disconnected; unreachable pairs contribute zero",
                       ConnectivityWarning, stacklevel=2)
-    return _raw_betweenness(graph, metric) / ((n - 1) * (n - 2))
+    return _betweenness(graph, metric) / ((n - 1) * (n - 2))
 
 
 def centralization_denominator(n: int) -> int:
@@ -255,7 +268,7 @@ def graph_centralization(graph: RoadGraph, metric: str = HOP_COUNT,
     _check_variant(variant)
     if graph.node_count < 3:
         raise DomainError("centralization undefined for graphs with fewer than 3 nodes")
-    return _centralization(_raw_betweenness(graph, metric), variant)
+    return _centralization(_betweenness(graph, metric), variant)
 
 
 def _check_variant(variant: str) -> None:
@@ -297,7 +310,7 @@ def analyze(graph: RoadGraph, metric: str = HOP_COUNT,
         raise DomainError("centralization undefined for graphs with fewer than 3 nodes")
     _check_metric(metric)
     _check_variant(variant)
-    raw = _raw_betweenness(graph, metric)
+    raw = _betweenness(graph, metric)
     connected = graph.is_connected()
     notes = [] if connected else ["graph is disconnected; unreachable pairs contributed zero"]
     centralization = _centralization(raw, variant)

@@ -9,8 +9,12 @@ are never neighbors), then conjugate draws for sigma_theta^2
 (inverse-gamma) and tau_c (gamma), then a re-centering of phi with the
 intercept absorbing the removed mean, and finally joint scaling moves of
 (theta, sigma_theta^2) and (phi, tau_c) (Liu & Sabatti 2000), which keep phi
-centred.  The random-walk and scaling-move step sizes adapt toward 0.44
-acceptance during burn-in only.
+centred.  Where phi spans every zone on one connected component, theta's
+scaling move is an exchange at fixed psi: phi and the intercept take what
+theta gives up, which moves along the direction in which theta and phi are
+weakly identified (Riebler et al. 2016) and needs no likelihood.  The
+random-walk and scaling-move step sizes adapt toward 0.44 acceptance during
+burn-in only.
 
 Chains run together in one batched sampler: their states are the rows of
 (chains x zones) arrays, so one numpy call serves every chain.  Each block
@@ -53,6 +57,7 @@ from .model import (
     _car_mean,
     _clamp,
     _gauss_log_ratio,
+    _icar_pairwise,
     _loglik_terms,
     _row_loglik,
     _sigma_theta_posterior,
@@ -131,7 +136,8 @@ def tau_c_posterior(phi, W, component_count: int, prior: GammaPrior) -> tuple:
     by half the weighted pairwise squared-difference sum.
     """
     phi = np.asarray(phi, dtype=float).reshape(1, -1)
-    shape, rate = _tau_c_posterior(phi, *W.neighbor_arrays(), component_count, prior)
+    shape, rate = _tau_c_posterior(_icar_pairwise(phi, *W.neighbor_arrays()), phi.shape[1],
+                                   component_count, prior)
     return shape, float(rate[0])
 
 
@@ -366,10 +372,13 @@ class _Target:
         self.prior_var = np.array([spec.prior_for(lbl).variance for lbl in labels])
         self.prior_prec = np.zeros(self.n_tri)
         self.prior_prec[np.diag(packed)] = 1.0 / self.prior_var
-        self.has_theta = bool(spec.include_theta)
-        self.has_phi = bool(spec.include_phi) and spatial is not None
+        self.has_theta = spec.include_theta
+        self.has_phi = spec.include_phi and spatial is not None
         self.sample_sigma = self.has_theta and spec.fixed_sigma_theta2 is None
         self.sample_tau = self.has_phi and spec.fixed_tau_c is None
+        # Theta's scaling move hands what theta gives up to phi and the
+        # intercept where phi spans every zone on one component.
+        self.exchange = self.sample_sigma and self.has_phi and spatial["exact_recenter"]
         if self.has_phi:
             # Gathers use take(axis=1), which keeps rows contiguous, so row sums
             # add up in the order a lone chain's sums do; scatters put values at
@@ -390,8 +399,7 @@ class _Target:
         if self.sample_sigma:
             shapes.append(_sigma_theta_posterior(np.zeros((1, n)), spec.sigma_theta_prior)[0])
         if self.sample_tau:
-            shapes.append(_tau_c_posterior(np.zeros((1, n)), *self.edges, self.component_count,
-                                           spec.tau_c_prior)[0])
+            shapes.append(_tau_c_posterior(0.0, n, self.component_count, spec.tau_c_prior)[0])
         self.gamma_shapes = shapes
         self.twice_scale_shapes = 2.0 * np.array([spec.sigma_theta_prior.shape,
                                                   spec.tau_c_prior.shape])
@@ -434,12 +442,15 @@ def _layout(**sizes):
 
 class _State:
     """The chains' current values, one row per chain: parameters, the linear
-    predictor psi, its clamped copy psic, lam = exp(psic), and acceptance
-    counts (the scaling moves' in two columns, theta's move then phi's)."""
+    predictor psi, its clamped copy psic, lam = exp(psic), phi's pairwise sum
+    icar_q = Q(phi) where theta's scaling move reads it (t.exchange), and
+    acceptance counts (the scaling moves' in two columns, theta's move then
+    phi's)."""
 
     def __init__(self, beta, theta, phi, sigma2, tau):
         self.beta, self.theta, self.phi = beta, theta, phi
         self.sigma2, self.tau = sigma2, tau
+        self.icar_q = None
         self.acc_beta = np.zeros(len(beta))
         self.acc_theta = np.zeros(theta.shape)
         self.acc_phi = np.zeros(phi.shape)
@@ -453,11 +464,14 @@ class _State:
 
 
 def _refresh(s, t):
-    """Recompute psi from the parameters, dropping incremental drift."""
+    """Recompute psi, and Q(phi) where it is kept, from the parameters,
+    dropping incremental drift."""
     psi = t.times_design(s.beta) + s.theta + s.phi
     if t.offset is not None:
         psi = psi + t.offset
     s.set_psi(psi)
+    if t.exchange:
+        s.icar_q = _icar_pairwise(s.phi, *t.edges)
 
 
 def _psi_move(s, t, psi_new):
@@ -594,11 +608,15 @@ def _update_phi(s, t, z, u, scale):
 
 def _update_hyper(s, t, g):
     """Conjugate draws from standard gamma variates g of the posterior shapes
-    (t.gamma_shapes: sigma2's column, then tau's)."""
+    (t.gamma_shapes: sigma2's column, then tau's).  Q(phi), which tau's rate
+    takes, is kept for theta's scaling move: the blocks after this one keep
+    it current."""
     if t.sample_sigma:
         s.sigma2 = _sigma_theta_posterior(s.theta, t.spec.sigma_theta_prior)[1] / g[:, 0]
+    if t.sample_tau or t.exchange:
+        s.icar_q = _icar_pairwise(s.phi, *t.edges)
     if t.sample_tau:
-        s.tau = g[:, -1] / _tau_c_posterior(s.phi, *t.edges, t.component_count,
+        s.tau = g[:, -1] / _tau_c_posterior(s.icar_q, s.phi.shape[1], t.component_count,
                                             t.spec.tau_c_prior)[1]
 
 
@@ -615,6 +633,30 @@ def _rescale(s, t, effect, c, bar):
     return take
 
 
+def _exchange(s, t, c, bar):
+    """Metropolis step trading theta for phi at fixed psi: theta -> c theta,
+    phi -> phi + (1 - c)(theta - mean(theta)) and beta0 -> beta0 +
+    (1 - c) mean(theta), taken where the change of phi's and the intercept's
+    log prior densities exceeds bar.  phi stays centred and psi, psic and lam
+    stay as they are, so no likelihood is evaluated.  Returns the rows where
+    it was taken."""
+    give = 1.0 - c
+    mean = np.add.reduce(s.theta, axis=1) / s.theta.shape[1]
+    phi_new = s.phi + give[:, None] * (s.theta - mean[:, None])
+    beta0, beta0_new = s.beta[:, 0], s.beta[:, 0] + give * mean
+    q_new = _icar_pairwise(phi_new, *t.edges)
+    mu0 = t.prior_mean[0]
+    gain = (_gauss_log_ratio(beta0_new - mu0, beta0 - mu0, t.prior_var[0])
+            - 0.5 * s.tau * (q_new - s.icar_q))
+    take = gain > bar
+    if take.any():
+        s.theta *= np.where(take, c, 1.0)[:, None]
+        np.copyto(s.phi, phi_new, where=take[:, None])
+        s.beta[:, 0] = np.where(take, beta0_new, beta0)
+        s.icar_q = np.where(take, q_new, s.icar_q)
+    return take
+
+
 def _update_scale(s, t, z, u, step):
     """Joint scaling moves (Liu & Sabatti 2000), each where its hyperparameter
     is sampled: with c = exp(eps) and eps = step z, column 0 for theta's move
@@ -624,14 +666,23 @@ def _update_scale(s, t, z, u, step):
     the Jacobian cancel up to c^-2a for a gamma prior of shape a and rate b on
     h, so log r = dlik - 2 a eps - b (h' - h).  phi scales on its
     (n - G)-dimensional sum-to-zero subspace: component sums and islands stay
-    at zero."""
+    at zero.
+
+    Where phi spans every zone on one component (t.exchange), theta's move
+    keeps psi: phi and the intercept take what theta gives up (_exchange),
+    so dlik is replaced by the change of their log priors,
+    -(tau / 2)(Q(phi') - Q(phi)) - ((beta0' - mu0)^2 - (beta0 - mu0)^2) / 2 v0.
+    The map is linear with Jacobian c^(n + 2), which cancels as before."""
     eps = step * z
     c = np.exp(eps)
     bar = np.log(u) + t.twice_scale_shapes * eps
     if t.sample_sigma:
         new = c[:, 0] * c[:, 0] * s.sigma2
-        take = _rescale(s, t, s.theta, c[:, 0], bar[:, 0] + t.spec.sigma_theta_prior.rate
-                        * (1.0 / new - 1.0 / s.sigma2))
+        bar_sigma = bar[:, 0] + t.spec.sigma_theta_prior.rate * (1.0 / new - 1.0 / s.sigma2)
+        if t.exchange:
+            take = _exchange(s, t, c[:, 0], bar_sigma)
+        else:
+            take = _rescale(s, t, s.theta, c[:, 0], bar_sigma)
         s.sigma2 = np.where(take, new, s.sigma2)
         s.acc_scale[:, 0] += take
     if t.sample_tau:
@@ -639,6 +690,8 @@ def _update_scale(s, t, z, u, step):
         take = _rescale(s, t, s.phi, c[:, 1], bar[:, 1] + t.spec.tau_c_prior.rate * (new - s.tau))
         s.tau = np.where(take, new, s.tau)
         s.acc_scale[:, 1] += take
+        if t.exchange:
+            s.icar_q = np.where(take, c[:, 1] * c[:, 1] * s.icar_q, s.icar_q)
 
 
 def _recenter(s, t):

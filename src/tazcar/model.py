@@ -55,6 +55,10 @@ class GammaPrior:
             raise ValidationError("gamma/inverse-gamma parameters must be finite and > 0")
 
 
+_SWITCHES = ("include_pattern", "include_land_use", "standardize",
+             "offset_log_arterial_length", "include_theta", "include_phi")
+
+
 @dataclass
 class ModelSpec:
     """Covariate selection, dummy-coding bases, priors, and sampler toggles.
@@ -85,6 +89,9 @@ class ModelSpec:
         self.covariates = tuple(self.covariates)
         if not all(isinstance(name, str) for name in self.covariates):
             raise ValidationError(f"covariates must be names, got {self.covariates!r}")
+        for name in _SWITCHES:
+            if not isinstance(getattr(self, name), bool):
+                raise ValidationError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.proximity_mode not in MODES:
             raise ValidationError(f"unknown proximity mode {self.proximity_mode!r}")
         if not isinstance(self.coef_priors, dict):
@@ -195,11 +202,10 @@ def _sigma_theta_posterior(theta, prior: GammaPrior) -> tuple:
             prior.rate + np.add.reduce(theta * theta, axis=1) / 2.0)
 
 
-def _tau_c_posterior(phi, ei, ej, ew, component_count: int, prior: GammaPrior) -> tuple:
-    """Conjugate gamma shape and per-row rates for tau_c: n - G degrees of
-    freedom for G connected components."""
-    return (prior.shape + (phi.shape[1] - component_count) / 2.0,
-            prior.rate + _icar_pairwise(phi, ei, ej, ew) / 2.0)
+def _tau_c_posterior(pairwise, n: int, component_count: int, prior: GammaPrior) -> tuple:
+    """Conjugate gamma shape and per-row rates for tau_c from the rows'
+    _icar_pairwise sums: n - G degrees of freedom for G connected components."""
+    return prior.shape + (n - component_count) / 2.0, prior.rate + pairwise / 2.0
 
 
 def _alpha_share(theta, phi):

@@ -4,6 +4,7 @@ datasets generated from known parameters for oracle and recovery testing."""
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -258,8 +259,10 @@ def generate_pattern_network(pattern, size: int = 25, irregularity: float = 0.35
     raise ValidationError(f"no generator for pattern {pattern!r}")
 
 
+@lru_cache(maxsize=None)
 def _calibrated_truncnorm(mean, sd, lo, hi):
-    """Truncated normal whose truncated mean equals the target mean."""
+    """Truncated normal whose truncated mean equals the target mean; a root
+    search per call, so the few targets' results are kept."""
     def shifted_mean(loc):
         a, b = (lo - loc) / sd, (hi - loc) / sd
         return truncnorm.mean(a, b, loc=loc, scale=sd) - mean
@@ -281,22 +284,31 @@ def draw_covariates(n: int, rng) -> dict:
 def sample_icar(W: ProximityMatrix, tau_c: float, rng,
                 sweeps: int = _ICAR_GIBBS_SWEEPS) -> np.ndarray:
     """Approximate draw from the intrinsic CAR prior by Gibbs passes over
-    the single-site conditionals, centered per component afterwards."""
+    the single-site conditionals, centered per component afterwards.
+
+    The passes run on Python floats, and one call draws a pass's normals:
+    the numbers one call per zone would draw, so the draw is the same bit
+    for bit as a zone-by-zone loop over numpy scalars."""
     n = W.zone_count
     ei, ej, ew = W.neighbor_arrays()
     wplus = W.row_sums
     neigh = [[] for _ in range(n)]
-    for a, b, w in zip(ei, ej, ew):
+    for a, b, w in zip(ei.tolist(), ej.tolist(), ew.tolist()):
         neigh[a].append((b, w))
         neigh[b].append((a, w))
     phi = rng.standard_normal(n) * 0.5
     phi[wplus == 0] = 0.0
+    # Per zone with neighbours: its neighbour list, w_i+, sqrt(tau_c w_i+) and its id.
+    sites = [(neigh[i], float(wplus[i]), float(np.sqrt(tau_c * wplus[i])), i)
+             for i in range(n) if wplus[i] != 0]
+    values = phi.tolist()
     for _ in range(sweeps):
-        for i in range(n):
-            if wplus[i] == 0:
-                continue
-            m = sum(w * phi[j] for j, w in neigh[i]) / wplus[i]
-            phi[i] = m + rng.standard_normal() / np.sqrt(tau_c * wplus[i])
+        for (nbrs, wsum, root, i), z in zip(sites, rng.standard_normal(len(sites)).tolist()):
+            m = 0.0
+            for j, w in nbrs:
+                m += w * values[j]
+            values[i] = m / wsum + z / root
+    phi = np.array(values)
     labels = W.component_labels
     for c in range(W.component_count):
         members = np.flatnonzero((labels == c) & (wplus > 0))

@@ -277,6 +277,17 @@ class TestAnalyze:
         analyze(star(6), "edge_length")
         assert calls == ["edge_length"]
 
+    def test_cached_scores_are_read_only(self):
+        # one pass per graph and metric: a caller must not change what the
+        # next caller reads, and the cache takes no part in equality
+        g = star(6)
+        first = analyze(g).node_scores
+        raw = centrality._betweenness(g, "hop_count")
+        with pytest.raises(ValueError):
+            raw[0] = 0.0
+        np.testing.assert_array_equal(analyze(g).node_scores, first)
+        assert g == star(6) and hash(g) == hash(star(6))
+
 
 class TestEdgeListFormat:
     def test_round_trip(self, tmp_path):

@@ -230,6 +230,7 @@ class TestFitCommand:
         ('{"sigma_theta_prior": 5}', "spec.json: sigma_theta_prior must be a GammaPrior"),
         ('{"default_coef_prior": {"mean": "a"}}', "spec.json: normal prior needs a finite mean"),
         ('{"covariates": [[1]]}', "spec.json: covariates must be names"),
+        ('{"include_phi": "no"}', "spec.json: include_phi must be true or false, got 'no'"),
     ])
     def test_bad_spec_exit_2(self, runner, tmp_path, text, message):
         data, _, topology = simulate_small(runner, tmp_path, seed=5, lattice=4)

@@ -211,6 +211,19 @@ class TestResolvePattern:
         assert resolve_pattern(record, star) == Pattern.LOLLIPOPS
         assert calls == ["hop_count"]
 
+    def test_reuses_the_pass_analyze_made(self, monkeypatch):
+        # the zone pipeline: analyze under both metrics, then resolve_pattern
+        # on the same graph reads the hop-count scores analyze left
+        calls = []
+        inner = centrality._raw_betweenness
+        monkeypatch.setattr(centrality, "_raw_betweenness",
+                            lambda graph, metric: calls.append(metric) or inner(graph, metric))
+        star = RoadGraph(6, tuple((0, i, 1.0) for i in range(1, 6)))
+        results = [centrality.analyze(star, metric) for metric in ("hop_count", "edge_length")]
+        record = make_record(pattern=Pattern.UNCLASSIFIABLE)
+        assert resolve_pattern(record, star) == results[0].pattern == Pattern.LOLLIPOPS
+        assert calls == ["hop_count", "edge_length"]
+
 
 class TestSummarize:
     def test_basic_stats(self):

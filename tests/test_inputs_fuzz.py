@@ -10,7 +10,7 @@ import json
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tazcar.centrality import read_edge_list
 from tazcar.cli import main
@@ -93,6 +93,8 @@ CSV = st.builds(_csv, st.sampled_from((DATASET_COLUMNS, DATASET_COLUMNS[:-1],
                 st.lists(ROWS, max_size=6), st.sampled_from((b"", b"", b"\xff", b"\x00")),
                 st.integers(0, 400))
 
+SWITCHES = ("include_pattern", "include_land_use", "standardize", "offset_log_arterial_length",
+            "include_theta", "include_phi")
 VALUES = (0, -1, 2.5, float("inf"), float("nan"), "abc", None, True, [], {}, [1], ["abc"],
           {"mean": "abc"}, {"mean": 0.0, "variance": -1.0}, {"shape": 1.0, "rate": 0.0},
           {"intercept": "abc"}, {"intercept": 1.0})
@@ -132,6 +134,7 @@ def exits_cleanly(runner, args):
     result = runner.invoke(main, [str(a) for a in args])
     assert result.exit_code in (0, 2, 3, 4), (result.output, result.exception)
     assert "Traceback" not in result.output
+    return result
 
 
 @pytest.mark.parametrize("reader", [read_edge_list, read_topology, read_weight_matrix])
@@ -160,12 +163,21 @@ def test_text_inputs_exit_cleanly(tmp_path, runner, inputs, text):
 
 @FUZZ
 @given(text=documents(ModelSpec().to_dict()))
+@example(text=json.dumps({"include_phi": "no"}))
 def test_spec_exits_cleanly(tmp_path, runner, inputs, text):
     data, topology, _ = inputs
     path = tmp_path / "spec.json"
     path.write_text(text)
-    exits_cleanly(runner, ["fit", "--data", data, "--weights", topology, "--spec", path,
-                           "--burnin", 5, "--iters", 5])
+    result = exits_cleanly(runner, ["fit", "--data", data, "--weights", topology,
+                                    "--spec", path, "--burnin", 5, "--iters", 5])
+    # a switch that is not true or false is a bad spec, whatever else is
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        doc = None
+    if isinstance(doc, dict) and any(not isinstance(doc.get(name, False), bool)
+                                     for name in SWITCHES):
+        assert result.exit_code == 2, result.output
 
 
 @FUZZ

@@ -260,6 +260,16 @@ class TestModelSpec:
                     "include_theta", "include_phi", "fixed_tau_c", "fixed_sigma_theta2"}
         assert set(payload) == expected
 
+    @pytest.mark.parametrize("field", ["include_pattern", "include_land_use", "standardize",
+                                       "offset_log_arterial_length", "include_theta",
+                                       "include_phi"])
+    @pytest.mark.parametrize("value", ["no", -1, 0, 1, None, np.bool_(True)])
+    def test_switch_must_be_a_bool(self, field, value):
+        # a spec file's "no" or 0 is not read as a truth value
+        with pytest.raises(ValidationError, match=f"{field} must be true or false"):
+            ModelSpec(**{field: value})
+        assert getattr(ModelSpec(**{field: False}), field) is False
+
     @pytest.mark.parametrize("field", ["fixed_tau_c", "fixed_sigma_theta2"])
     @pytest.mark.parametrize("value", [float("inf"), float("nan"), 0.0, -1.0])
     def test_fixed_hyperparameter_must_be_finite_and_positive(self, field, value):

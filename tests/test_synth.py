@@ -17,7 +17,7 @@ from tazcar.synth import (
     sample_icar,
     simulate_dataset,
 )
-from tazcar.weights import ADJACENCY, build_weights, row_sums
+from tazcar.weights import ADJACENCY, ZoneTopology, build_weights, row_sums
 
 
 def zero_truth(mean=5.0):
@@ -176,6 +176,27 @@ class TestSimulateDataset:
         records, _ = simulate_dataset(generate_lattice(8), seed=11)
         design = build_design(records, ModelSpec())
         assert np.linalg.matrix_rank(design.matrix) == design.p
+
+    # sha256 over repr((records, truth dict)), recorded before sample_icar ran
+    # its Gibbs passes on Python floats; criteria 6 and 7 and the benchmark's
+    # replicates depend on every draw.  The island case drops zone 0's
+    # boundaries from a 6 x 6 lattice.
+    @pytest.mark.parametrize("case,digest", [
+        ("reference", "6fe4f643232359f1884e1c338ff88af0952c5454dab924edcf1cf889430add5c"),
+        ("tau_0.37", "e34e2460190fe1fa7b2638e0ffc69260ce52185db3ceeb9d955d95f2b77d5a29"),
+        ("island", "340c6abb801b63eb0f8c5333f5538e9e9d08021dea13f0bdfcd6f77837144dfa"),
+    ])
+    def test_datasets_are_pinned(self, case, digest):
+        lattice = generate_lattice(6)
+        topology, truth, seed = {
+            "reference": (generate_lattice(13), default_truth(), 1),
+            "tau_0.37": (generate_lattice(13), default_truth(tau_c=0.37, phi_target_sd=None), 5),
+            "island": (ZoneTopology(36, tuple(p for p in lattice.neighbor_pairs if 0 not in p[:2])),
+                       default_truth(tau_c=1.0), 3),
+        }[case]
+        records, realized = simulate_dataset(topology, truth, seed=seed)
+        text = repr((records, realized.to_dict()))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_summary_tracks_targets(self):
         records, _ = simulate_dataset(generate_lattice(13), seed=21)
