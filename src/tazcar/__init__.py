@@ -39,4 +39,4 @@ from .evaluate import (
 from .mcmc import McmcConfig, PosteriorReport, fit, gelman_rubin, irls_poisson_fit
 from .model import ModelSpec, icar_log_density_kernel, poisson_loglik
 from .synth import generate_lattice, generate_pattern_network, simulate_dataset
-from .weights import ProximityMatrix, ZoneTopology, build_weights, connected_components, row_sums
+from .weights import ProximityMatrix, ZoneTopology, build_weights

@@ -122,25 +122,18 @@ class RoadGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, metric: str = HOP_COUNT) -> list:
-        """Adjacency lists of (neighbor, weight); weight is 1.0 for hop_count
-        and the stored length (default 1.0 when absent) for edge_length."""
-        adj = [[] for _ in range(self.node_count)]
-        for u, v, length in self.edges:
-            w = 1.0 if metric == HOP_COUNT else (1.0 if length is None else length)
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        return adj
-
     def is_connected(self) -> bool:
         if self.node_count <= 1:
             return True
-        adj = self.neighbors()
+        adj = [[] for _ in range(self.node_count)]
+        for u, v, _ in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
         seen = {0}
         stack = [0]
         while stack:
             u = stack.pop()
-            for v, _ in adj[u]:
+            for v in adj[u]:
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)

@@ -234,13 +234,13 @@ def crash_counts(records) -> np.ndarray:
     return np.array([r.crash_count for r in records], dtype=int)
 
 
-def build_design(records, spec=None, standardize: bool = None) -> DesignMatrix:
+def build_design(records, spec=None) -> DesignMatrix:
     """Assemble the dummy-coded design matrix for a ModelSpec.
 
     Columns: intercept, then the ModelSpec's continuous covariates in
     order, then 3 pattern dummies and 6 land-use dummies when those
     factors are included.  Continuous covariates enter in raw units
-    unless the standardize flag (on the ModelSpec or the argument) is set.
+    unless the ModelSpec's standardize flag is set.
     """
     from .model import ModelSpec  # deferred: model imports nothing from here
 
@@ -248,8 +248,6 @@ def build_design(records, spec=None, standardize: bool = None) -> DesignMatrix:
         spec = ModelSpec()
     if not isinstance(spec, ModelSpec):
         raise ValidationError("spec must be a ModelSpec")
-    if standardize is None:
-        standardize = spec.standardize
     if not records:
         raise ValidationError("no records to build a design from")
     known = {f.name for f in fields(ZoneRecord)}
@@ -283,7 +281,7 @@ def build_design(records, spec=None, standardize: bool = None) -> DesignMatrix:
     p = matrix.shape[1]
     means = np.zeros(p)
     sds = np.ones(p)
-    if standardize:
+    if spec.standardize:
         for j, name in enumerate(labels):
             if name in spec.covariates:
                 mu, sd = matrix[:, j].mean(), matrix[:, j].std(ddof=1)
@@ -303,7 +301,7 @@ def build_design(records, spec=None, standardize: bool = None) -> DesignMatrix:
             sds = np.delete(sds, j)
         offset = np.log(np.array([r.arterial_length_km for r in records]))
 
-    return DesignMatrix(matrix=matrix, labels=tuple(labels), standardized=bool(standardize),
+    return DesignMatrix(matrix=matrix, labels=tuple(labels), standardized=spec.standardize,
                         col_means=means, col_sds=sds, offset=offset)
 
 

@@ -34,7 +34,6 @@ import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import lapack
 from scipy.special import gammaln
 
@@ -136,7 +135,7 @@ def tau_c_posterior(phi, W, component_count: int, prior: GammaPrior) -> tuple:
     by half the weighted pairwise squared-difference sum.
     """
     phi = np.asarray(phi, dtype=float).reshape(1, -1)
-    shape, rate = _tau_c_posterior(_icar_pairwise(phi, *W.neighbor_arrays()), phi.shape[1],
+    shape, rate = _tau_c_posterior(_icar_pairwise(phi, *W.edges), phi.shape[1],
                                    component_count, prior)
     return shape, float(rate[0])
 
@@ -155,18 +154,16 @@ def irls_poisson_fit(design, y) -> tuple:
     Converges when the score norm drops below _IRLS_TOL; raises on
     rank-deficient designs or after _IRLS_MAX_ITER steps.
     """
-    X = design.matrix if hasattr(design, "matrix") else np.asarray(design, dtype=float)
-    offset = getattr(design, "offset", None)
+    X = design.matrix
     y = np.asarray(y, dtype=float)
     n, p = X.shape
     if len(y) != n:
         raise ValidationError("y length does not match the design")
     if np.linalg.matrix_rank(X) < p:
         raise ValidationError("design matrix is rank deficient")
-    off = np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
+    off = np.zeros(n) if design.offset is None else np.asarray(design.offset, dtype=float)
     beta = np.zeros(p)
-    ybar = max(y.mean(), 1e-8)
-    beta[0] = math.log(ybar) - off.mean() if np.all(X[:, 0] == 1.0) else 0.0
+    beta[0] = math.log(max(y.mean(), 1e-8)) - off.mean()
     for _ in range(_IRLS_MAX_ITER):
         eta = _clamp(X @ beta + off)
         mu = np.exp(eta)
@@ -183,9 +180,8 @@ def informative_priors_from_irls(design, y) -> dict:
     mirroring the practice of deriving informative priors from an initial
     frequentist estimate."""
     beta, cov = irls_poisson_fit(design, y)
-    labels = design.labels if hasattr(design, "labels") else [f"b{j}" for j in range(len(beta))]
     return {label: NormalPrior(mean=float(b), variance=float(v))
-            for label, b, v in zip(labels, beta, np.diag(cov))}
+            for label, b, v in zip(design.labels, beta, np.diag(cov))}
 
 
 @dataclass
@@ -267,63 +263,6 @@ class PosteriorReport:
         return "\n".join(lines) + "\n"
 
 
-def _greedy_coloring(csr, active) -> list:
-    """Partition active nodes into classes with no within-class neighbors."""
-    color = np.full(len(active), -1, dtype=int)
-    for u in np.flatnonzero(active):
-        used = set(color[csr.indices[csr.indptr[u]:csr.indptr[u + 1]]])
-        c = 0
-        while c in used:
-            c += 1
-        color[u] = c
-    return [np.flatnonzero(color == c) for c in range(color.max() + 1)]
-
-
-def _prepare_spatial(W, n):
-    """Precompute immutable spatial structure shared by all chains."""
-    if W is None:
-        return None
-    if W.zone_count != n:
-        raise ValidationError("weight matrix size does not match the dataset")
-    ei, ej, ew = W.neighbor_arrays()
-    wplus = W.row_sums
-    active = wplus > 0
-    csr = sp.csr_matrix(
-        (np.concatenate([ew, ew]),
-         (np.concatenate([ei, ej]), np.concatenate([ej, ei]))),
-        shape=(n, n)) if len(ew) else sp.csr_matrix((n, n))
-    labels = W.component_labels
-    noniso = sorted({int(labels[i]) for i in range(n) if active[i]})
-    comp_members = [np.flatnonzero((labels == c) & active) for c in noniso]
-    return {
-        "wplus": wplus,
-        "ei": ei, "ej": ej, "ew": ew,
-        "active": active,
-        "islands": int(np.count_nonzero(~active)),
-        "component_count": W.component_count,
-        "comp_members": comp_members,
-        "classes": [(members, *_padded_neighbors(csr, members))
-                    for members in _greedy_coloring(csr, active)],
-        # Intercept absorption of the removed phi mean is an exact identity
-        # only with a single non-island component and no islands.
-        "exact_recenter": len(comp_members) == 1 and not np.count_nonzero(~active),
-    }
-
-
-def _padded_neighbors(csr, members):
-    """Neighbour ids and weights of the members, one column per member,
-    padded with weight 0: shapes (max degree, len(members))."""
-    rows = csr[members]
-    deg = np.diff(rows.indptr)
-    nbr = np.zeros((max(int(deg.max()), 1), len(members)), dtype=int)
-    weight = np.zeros(nbr.shape)
-    owner = np.repeat(np.arange(len(members)), deg)
-    slot = np.arange(rows.nnz) - rows.indptr[owner]
-    nbr[slot, owner] = rows.indices
-    weight[slot, owner] = rows.data
-    return nbr, weight
-
-
 def _center_rows(phi, members, flat):
     """Subtract from each row of phi its mean over members; return the means.
     flat holds the members' positions in phi's flattened rows."""
@@ -342,10 +281,10 @@ _BORDER = 1e300
 
 class _Target:
     """What the chains sample, fixed for a run: per-chain data rows, centred
-    designs, priors, the spatial tables and the layout of a sweep's random
-    numbers."""
+    designs, priors, the spatial tables read from W (None without phi) and
+    the layout of a sweep's random numbers."""
 
-    def __init__(self, y, Xc, offset, spatial, spec, labels):
+    def __init__(self, y, Xc, offset, W, spec, labels):
         K, n = y.shape
         p = len(labels)
         self.y, self.offset, self.spec = y, offset, spec
@@ -373,27 +312,29 @@ class _Target:
         self.prior_prec = np.zeros(self.n_tri)
         self.prior_prec[np.diag(packed)] = 1.0 / self.prior_var
         self.has_theta = spec.include_theta
-        self.has_phi = spec.include_phi and spatial is not None
+        self.has_phi = spec.include_phi and W is not None
         self.sample_sigma = self.has_theta and spec.fixed_sigma_theta2 is None
         self.sample_tau = self.has_phi and spec.fixed_tau_c is None
-        # Theta's scaling move hands what theta gives up to phi and the
-        # intercept where phi spans every zone on one component.
-        self.exchange = self.sample_sigma and self.has_phi and spatial["exact_recenter"]
         if self.has_phi:
             # Gathers use take(axis=1), which keeps rows contiguous, so row sums
             # add up in the order a lone chain's sums do; scatters put values at
             # flat positions k * n + i.
             flat_at = n * np.arange(K)[:, None]
             self.components = [(members, (flat_at + members).ravel())
-                               for members in spatial["comp_members"]]
+                               for members in W.components]
             # Per coloring class: members, their neighbours, row sums and counts.
             self.phi_classes = [(members, (flat_at + members).ravel(), nbr, weight,
-                                 spatial["wplus"][members], y.take(members, axis=1))
-                                for members, nbr, weight in spatial["classes"]]
-            self.edges = (spatial["ei"], spatial["ej"], spatial["ew"])
-            self.component_count = spatial["component_count"]
-            self.inactive = ~spatial["active"]
-            self.exact_recenter = spatial["exact_recenter"]
+                                 W.row_sums[members], y.take(members, axis=1))
+                                for members, nbr, weight in W.coloring]
+            self.edges = W.edges
+            self.component_count = W.component_count
+            self.inactive = W.row_sums == 0
+            # Intercept absorption of the removed phi mean is an exact identity
+            # only with a single non-island component and no islands.
+            self.exact_recenter = len(W.components) == 1 and not W.has_islands
+        # Theta's scaling move hands what theta gives up to phi and the
+        # intercept where phi spans every zone on one component.
+        self.exchange = self.sample_sigma and self.has_phi and self.exact_recenter
         # Shapes of the conjugate draws, sigma2's before tau's.
         shapes = []
         if self.sample_sigma:
@@ -726,20 +667,20 @@ def _sweep(s, t, z, u, g, steps):
     _update_scale(s, t, z[:, zs["scale"]], u[:, us["scale"]], steps["scale"])
 
 
-def _run_chains(seeds, y, Xc, offset, spatial, spec, config, beta_center, beta_se, labels):
+def _run_chains(seeds, y, Xc, offset, W, spec, config, beta_center, beta_se, labels):
     """Run one chain per seed, all chains advancing together sweep by sweep.
 
     Chain k samples data set k: counts y[k], centred design Xc[k] (n x p),
     offset[k] (or offset None), starting around beta_center[k] with spread
-    beta_se[k].  State lives in (K, n) and (K, p) arrays.  Each chain draws
-    from its own PCG64 stream in the order a lone chain would, and every
-    quantity is computed row by row, so a chain's draws do not depend on the
-    chains that run beside it.
+    beta_se[k]; W is the proximity matrix, or None without phi.  State lives
+    in (K, n) and (K, p) arrays.  Each chain draws from its own PCG64 stream
+    in the order a lone chain would, and every quantity is computed row by
+    row, so a chain's draws do not depend on the chains that run beside it.
     """
     rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
     K = len(rngs)
     n, p = Xc[0].shape
-    t = _Target(y, Xc, offset, spatial, spec, labels)
+    t = _Target(y, Xc, offset, W, spec, labels)
 
     # Overdispersed starts around the maximum-likelihood centers.
     beta = np.empty((K, p))
@@ -892,7 +833,7 @@ def fit_batch(datasets, W, spec: ModelSpec = None, configs=None) -> list:
     n = inputs[0]["n"]
     if any(inp["n"] != n or inp["labels"] != inputs[0]["labels"] for inp in inputs):
         raise ValidationError("the data sets of one batch must share zones and design columns")
-    spatial = inputs[0]["spatial"]
+    W = W if spec.include_phi else None
 
     chains = [(seed, inp) for inp, c in zip(inputs, configs)
               for seed in np.random.SeedSequence(c.seed).spawn(c.chains)]
@@ -903,12 +844,12 @@ def fit_batch(datasets, W, spec: ModelSpec = None, configs=None) -> list:
         [inp["Xc"] for _, inp in chains],
         None if all(o is None for o in offsets)
         else np.stack([np.zeros(n) if o is None else o for o in offsets]),
-        spatial, spec, config,
+        W, spec, config,
         np.stack([inp["beta_hat"] for _, inp in chains]),
         np.stack([inp["se"] for _, inp in chains]), inputs[0]["labels"])
     k = config.chains
     return [_assemble({name: v[i * k:(i + 1) * k] for name, v in results.items()},
-                      inp, spatial, spec, c)
+                      inp, W, spec, c)
             for i, (inp, c) in enumerate(zip(inputs, configs))]
 
 
@@ -924,7 +865,8 @@ def _fit_inputs(y, design, W, spec) -> dict:
         raise ValidationError("y length does not match the design")
     if spec.include_phi and W is None:
         raise ValidationError("a proximity matrix is required when include_phi is set")
-    spatial = _prepare_spatial(W, n) if spec.include_phi else None
+    if spec.include_phi and W.zone_count != n:
+        raise ValidationError("weight matrix size does not match the dataset")
     if spec.include_phi and labels[0] != "intercept":
         raise ValidationError("the CAR term requires an intercept column")
 
@@ -938,8 +880,7 @@ def _fit_inputs(y, design, W, spec) -> dict:
         Xc[:, 1:] -= center
 
     try:
-        beta_hat, cov = irls_poisson_fit(
-            type("D", (), {"matrix": Xc, "offset": offset, "labels": labels})(), y)
+        beta_hat, cov = irls_poisson_fit(replace(design, matrix=Xc), y)
         se = np.sqrt(np.maximum(np.diag(cov), 1e-12))
     except (ConvergenceError, ValidationError, np.linalg.LinAlgError):
         beta_hat = np.zeros(p)
@@ -947,12 +888,12 @@ def _fit_inputs(y, design, W, spec) -> dict:
         se = np.full(p, 0.1)
     return {"y": y, "y_float": np.asarray(y, dtype=float), "design": design,
             "labels": labels, "n": n, "p": p, "offset": offset, "center": center,
-            "Xc": Xc, "beta_hat": beta_hat, "se": se, "spatial": spatial}
+            "Xc": Xc, "beta_hat": beta_hat, "se": se}
 
 
-def _assemble(res, inp, spatial, spec, config) -> PosteriorReport:
+def _assemble(res, inp, W, spec, config) -> PosteriorReport:
     """Merge one data set's chains (the rows of res), in chain order, into its
-    posterior report."""
+    posterior report; W is None without phi."""
     y, design, labels = inp["y"], inp["design"], inp["labels"]
     n, p, center, Xc, offset = inp["n"], inp["p"], inp["center"], inp["Xc"], inp["offset"]
 
@@ -1022,8 +963,8 @@ def _assemble(res, inp, spatial, spec, config) -> PosteriorReport:
     if spec.include_theta:
         acceptance["theta"] = float(np.mean([a.mean() for a in res["acc_theta"]]))
     # Islands are never updated; with no zone that has neighbours there is no rate.
-    if spatial is not None and spatial["active"].any():
-        active = spatial["active"]
+    if W is not None and W.row_sums.any():
+        active = W.row_sums > 0
         acceptance["phi"] = float(np.mean([a[active].mean() for a in res["acc_phi"]]))
 
     finite_rhats = [v for v in rhat_values if v is not None]
@@ -1032,8 +973,8 @@ def _assemble(res, inp, spatial, spec, config) -> PosteriorReport:
     notes = []
     if dic_res.suspicious:
         notes.append("negative effective parameter count p_D; check the fit")
-    if spatial is not None and spatial["islands"]:
-        notes.append(f"{spatial['islands']} island zone(s): phi pinned at 0, "
+    if W is not None and W.has_islands:
+        notes.append(f"{len(W.islands)} island zone(s): phi pinned at 0, "
                      "excluded from the sum-to-zero constraint")
 
     return PosteriorReport(
@@ -1051,7 +992,7 @@ def _assemble(res, inp, spatial, spec, config) -> PosteriorReport:
         seed=config.seed,
         config=config.to_dict(),
         n_zones=int(n),
-        island_count=int(spatial["islands"]) if spatial else 0,
-        component_count=int(spatial["component_count"]) if spatial else 1,
+        island_count=len(W.islands) if W is not None else 0,
+        component_count=W.component_count if W is not None else 1,
         notes=notes,
     )

@@ -235,7 +235,7 @@ def poisson_loglik(y, lam) -> float:
 def icar_pairwise_sum(phi: np.ndarray, W: ProximityMatrix) -> float:
     """sum over unordered neighbor pairs of w_ij (phi_i - phi_j)^2."""
     phi = np.asarray(phi, dtype=float)
-    return float(_icar_pairwise(phi[None], *W.neighbor_arrays())[0])
+    return float(_icar_pairwise(phi[None], *W.edges)[0])
 
 
 def icar_log_density_kernel(phi: np.ndarray, W: ProximityMatrix, tau_c: float,

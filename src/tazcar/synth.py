@@ -124,22 +124,15 @@ def generate_lattice(m: int) -> ZoneTopology:
     crossed by 2 lanes."""
     if m < 2:
         raise DomainError("lattice size must be at least 2")
-    pairs = []
-    for r in range(m):
-        for c in range(m):
-            i = r * m + c
-            if c + 1 < m:
-                pairs.append((i, i + 1, 1.0, 2))
-            if r + 1 < m:
-                pairs.append((i, i + m, 1.0, 2))
-    return ZoneTopology(zone_count=m * m, neighbor_pairs=tuple(pairs))
+    return ZoneTopology(zone_count=m * m,
+                        neighbor_pairs=tuple((i, j, 1.0, 2) for i, j in _lattice_edges(m, m)))
 
 
-def _lattice_edges(rows: int, cols: int, base: int = 0) -> list:
+def _lattice_edges(rows: int, cols: int) -> list:
     edges = []
     for r in range(rows):
         for c in range(cols):
-            i = base + r * cols + c
+            i = r * cols + c
             if c + 1 < cols:
                 edges.append((i, i + 1))
             if r + 1 < rows:
@@ -193,18 +186,22 @@ def _lollipop_graph(size: int, rng) -> RoadGraph:
     """Short arterial trunk with dead-end local branches hanging off it."""
     trunk_len = max(3, size // 6)
     edges = [(i, i + 1) for i in range(trunk_len - 1)]
-    next_node = trunk_len
+    _grow_branches(edges, trunk_len, size, range(trunk_len), rng)
+    return RoadGraph(node_count=size, edges=tuple(edges))
+
+
+def _grow_branches(edges, next_node, size, anchors, rng) -> None:
+    """Append dead-end branches of one or two new nodes, numbered from
+    next_node, each hung from a randomly drawn anchor, until there are size
+    nodes."""
     while next_node < size:
-        anchor = int(rng.integers(0, trunk_len))
-        branch_len = int(rng.integers(1, 3))
-        prev = anchor
-        for _ in range(branch_len):
+        prev = anchors[int(rng.integers(0, len(anchors)))]
+        for _ in range(int(rng.integers(1, 3))):
             if next_node >= size:
                 break
             edges.append((prev, next_node))
             prev = next_node
             next_node += 1
-    return RoadGraph(node_count=size, edges=tuple(edges))
 
 
 def _mixed_graph(size: int, rng) -> RoadGraph:
@@ -219,18 +216,7 @@ def _mixed_graph(size: int, rng) -> RoadGraph:
         cols = max(2, cols - 1)
         core = rows * cols
     edges = _lattice_edges(rows, cols)
-    next_node = core
-    seam = [r * cols + (cols - 1) for r in range(rows)]
-    while next_node < size:
-        anchor = int(seam[int(rng.integers(0, len(seam)))])
-        branch_len = int(rng.integers(1, 3))
-        prev = anchor
-        for _ in range(branch_len):
-            if next_node >= size:
-                break
-            edges.append((prev, next_node))
-            prev = next_node
-            next_node += 1
+    _grow_branches(edges, core, size, [r * cols + (cols - 1) for r in range(rows)], rng)
     return RoadGraph(node_count=size, edges=tuple(edges))
 
 
@@ -290,16 +276,14 @@ def sample_icar(W: ProximityMatrix, tau_c: float, rng,
     the numbers one call per zone would draw, so the draw is the same bit
     for bit as a zone-by-zone loop over numpy scalars."""
     n = W.zone_count
-    ei, ej, ew = W.neighbor_arrays()
     wplus = W.row_sums
-    neigh = [[] for _ in range(n)]
-    for a, b, w in zip(ei.tolist(), ej.tolist(), ew.tolist()):
-        neigh[a].append((b, w))
-        neigh[b].append((a, w))
+    bounds, ids, weights = W.csr.indptr.tolist(), W.csr.indices.tolist(), W.csr.data.tolist()
     phi = rng.standard_normal(n) * 0.5
     phi[wplus == 0] = 0.0
-    # Per zone with neighbours: its neighbour list, w_i+, sqrt(tau_c w_i+) and its id.
-    sites = [(neigh[i], float(wplus[i]), float(np.sqrt(tau_c * wplus[i])), i)
+    # Per zone with neighbours: its (neighbour, weight) list, w_i+,
+    # sqrt(tau_c w_i+) and its id.
+    sites = [(list(zip(ids[bounds[i]:bounds[i + 1]], weights[bounds[i]:bounds[i + 1]])),
+              float(wplus[i]), float(np.sqrt(tau_c * wplus[i])), i)
              for i in range(n) if wplus[i] != 0]
     values = phi.tolist()
     for _ in range(sweeps):
@@ -309,11 +293,8 @@ def sample_icar(W: ProximityMatrix, tau_c: float, rng,
                 m += w * values[j]
             values[i] = m / wsum + z / root
     phi = np.array(values)
-    labels = W.component_labels
-    for c in range(W.component_count):
-        members = np.flatnonzero((labels == c) & (wplus > 0))
-        if members.size:
-            phi[members] -= phi[members].mean()
+    for members in W.components:
+        phi[members] -= phi[members].mean()
     return phi
 
 

@@ -3,15 +3,19 @@
 Three weighting modes over the same zone topology: 0/1 first-order
 adjacency, shared boundary length in km, and total lane count of the
 arterials connecting each adjacent pair.  Matrices are stored as sparse
-coordinate triples with a dense export.
+coordinate triples with a dense export, and derive once the graph that the
+spatial prior, its sampler and the ICAR simulator read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .errors import ValidationError, entry_count, lines, located, parse_count, scan_lines
 
@@ -87,38 +91,65 @@ def _check_triple(triple, zone_count: int, seen: dict) -> tuple:
     return int(a), int(b), float(w)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProximityMatrix:
-    """Symmetric nonnegative zone-by-zone weight matrix.
+    """Symmetric nonnegative zone-by-zone weight matrix and the graph it
+    defines.
 
     Entries are kept as upper-triangle coordinate triples (i, j, w) with
-    i < j and w > 0; the dense form and row sums are derived.
+    i < j and w > 0.  Construction derives what the CAR prior and its
+    sampler read: the triples as read-only edge arrays (i, j, w), the
+    symmetric CSR form, row sums w_i+, the component labels (numbered in
+    order of each component's smallest zone; an island is a component of
+    its own) and the member zones of each component that has edges.  The
+    greedy colouring is built on first use and kept; the matrix is frozen
+    so that none of these can go stale.
     """
 
     zone_count: int
     mode: str
     triples: tuple = ()
-    row_sums: np.ndarray = field(init=False)
-    component_labels: np.ndarray = field(init=False)
-    component_count: int = field(init=False)
+    edges: tuple = field(init=False, compare=False, repr=False)
+    csr: sp.csr_matrix = field(init=False, compare=False, repr=False)
+    row_sums: np.ndarray = field(init=False, compare=False, repr=False)
+    component_labels: np.ndarray = field(init=False, compare=False, repr=False)
+    component_count: int = field(init=False, compare=False, repr=False)
+    components: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValidationError(f"unknown proximity mode {self.mode!r}; expected {MODES}")
-        sums = np.zeros(self.zone_count)
+        n = self.zone_count
+        sums = np.zeros(n)
         seen = {}
         norm = []
         for triple in self.triples:
-            a, b, w = _check_triple(triple, self.zone_count, seen)
+            a, b, w = _check_triple(triple, n, seen)
             if w > 0:
                 norm.append((a, b, w))
                 sums[a] += w
                 sums[b] += w
-        self.triples = tuple(sorted(norm))
-        self.row_sums = sums
-        labels, count = connected_components(self)
-        self.component_labels = labels
-        self.component_count = count
+        triples = tuple(sorted(norm))
+        if triples:
+            ei, ej, ew = (np.array(column) for column in zip(*triples))
+        else:
+            ei, ej, ew = np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
+        csr = sp.csr_matrix(
+            (np.concatenate([ew, ew]), (np.concatenate([ei, ej]), np.concatenate([ej, ei]))),
+            shape=(n, n)) if len(ew) else sp.csr_matrix((n, n))
+        count, labels = csgraph.connected_components(csr, directed=False)
+        labels = labels.astype(int)
+        # Members of each component, ascending; a component of two or more
+        # zones is one with edges.
+        order = np.argsort(labels, kind="stable")
+        for a in (ei, ej, ew, order):
+            a.flags.writeable = False
+        groups = np.split(order, np.cumsum(np.bincount(labels))[:-1])
+        for name, value in (("triples", triples), ("row_sums", sums), ("edges", (ei, ej, ew)),
+                            ("csr", csr), ("component_labels", labels),
+                            ("component_count", int(count)),
+                            ("components", tuple(g for g in groups if g.size > 1))):
+            object.__setattr__(self, name, value)
 
     @property
     def islands(self) -> list:
@@ -129,6 +160,22 @@ class ProximityMatrix:
     def has_islands(self) -> bool:
         return bool((self.row_sums == 0).any())
 
+    @cached_property
+    def coloring(self) -> list:
+        """Greedy colouring of the zones with neighbours: classes in which no
+        two members are neighbours, each as (members, neighbour ids, weights)
+        with one column per member, padded with weight 0."""
+        csr = self.csr
+        color = np.full(self.zone_count, -1, dtype=int)
+        for u in np.flatnonzero(self.row_sums > 0):
+            used = set(color[csr.indices[csr.indptr[u]:csr.indptr[u + 1]]])
+            c = 0
+            while c in used:
+                c += 1
+            color[u] = c
+        return [(members, *_padded_neighbors(csr, members))
+                for members in (np.flatnonzero(color == c) for c in range(color.max() + 1))]
+
     def to_dense(self) -> np.ndarray:
         m = np.zeros((self.zone_count, self.zone_count))
         for i, j, w in self.triples:
@@ -136,13 +183,19 @@ class ProximityMatrix:
             m[j, i] = w
         return m
 
-    def neighbor_arrays(self):
-        """Edge arrays (i_idx, j_idx, w) over the upper triangle, for
-        vectorized quadratic forms."""
-        if not self.triples:
-            return (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
-        arr = np.array(self.triples)
-        return arr[:, 0].astype(int), arr[:, 1].astype(int), arr[:, 2]
+
+def _padded_neighbors(csr, members):
+    """Neighbour ids and weights of the members, one column per member,
+    padded with weight 0: shapes (max degree, len(members))."""
+    rows = csr[members]
+    deg = np.diff(rows.indptr)
+    nbr = np.zeros((max(int(deg.max()), 1), len(members)), dtype=int)
+    weight = np.zeros(nbr.shape)
+    owner = np.repeat(np.arange(len(members)), deg)
+    slot = np.arange(rows.nnz) - rows.indptr[owner]
+    nbr[slot, owner] = rows.indices
+    weight[slot, owner] = rows.data
+    return nbr, weight
 
 
 def build_weights(topology: ZoneTopology, mode: str = ADJACENCY) -> ProximityMatrix:
@@ -164,49 +217,6 @@ def build_weights(topology: ZoneTopology, mode: str = ADJACENCY) -> ProximityMat
             w = float(lanes)
         triples.append((i, j, w))
     return ProximityMatrix(zone_count=topology.zone_count, mode=mode, triples=tuple(triples))
-
-
-def row_sums(matrix) -> np.ndarray:
-    """Row sums w_{i+} of a ProximityMatrix or dense array."""
-    if isinstance(matrix, ProximityMatrix):
-        return matrix.row_sums.copy()
-    m = np.asarray(matrix, dtype=float)
-    return m.sum(axis=1)
-
-
-def connected_components(matrix) -> tuple:
-    """Component labels and count under w > 0 adjacency.
-
-    Accepts a ProximityMatrix or dense array.  Islands form singleton
-    components, so the count G is at least 1 for any nonempty matrix.
-    """
-    if isinstance(matrix, ProximityMatrix):
-        n = matrix.zone_count
-        pairs = [(i, j) for i, j, w in matrix.triples if w > 0]
-    else:
-        m = np.asarray(matrix, dtype=float)
-        n = m.shape[0]
-        ii, jj = np.nonzero(m > 0)
-        pairs = [(int(a), int(b)) for a, b in zip(ii, jj) if a < b]
-    adj = [[] for _ in range(n)]
-    for i, j in pairs:
-        adj[i].append(j)
-        adj[j].append(i)
-    labels = np.full(n, -1, dtype=int)
-    count = 0
-    for start in range(n):
-        if labels[start] != -1:
-            continue
-        labels[start] = count
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if labels[v] == -1:
-                    labels[v] = count
-                    stack.append(v)
-        count += 1
-    return labels, count
 
 
 _ZONES = {"zones": ("zone count", parse_count)}

@@ -212,3 +212,22 @@ def draw_prior(rng, X, W_dense, prior_mean, prior_var, sigma_prior, tau_prior):
     phi = vectors @ (rng.standard_normal(len(values)) / np.sqrt(tau * values))
     y = rng.poisson(np.exp(X @ beta + theta + phi))
     return beta, theta, phi, sigma2, tau, y
+
+
+def union_find_components(n, triples):
+    """Component labels of zones 0..n-1 under the pairs of positive weight,
+    numbered in order of each component's smallest zone, and their count."""
+    parent = list(range(n))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j, w in triples:
+        if w > 0:
+            a, b = root(i), root(j)
+            parent[max(a, b)] = min(a, b)
+    number = {}
+    labels = [number.setdefault(root(i), len(number)) for i in range(n)]
+    return np.array(labels), len(number)

@@ -13,7 +13,6 @@ from tazcar.errors import ValidationError
 from tazcar.mcmc import (
     McmcConfig,
     PosteriorReport,
-    _prepare_spatial,
     _recenter,
     _refresh,
     _run_chains,
@@ -35,7 +34,7 @@ from tazcar.mcmc import (
 from tazcar import recovery
 from tazcar.model import GammaPrior, ModelSpec, NormalPrior, _row_loglik, icar_pairwise_sum
 from tazcar.synth import default_truth, generate_lattice, simulate_dataset
-from tazcar.weights import ADJACENCY, ProximityMatrix, ZoneTopology, build_weights
+from tazcar.weights import ADJACENCY, LANE_COUNT, ProximityMatrix, ZoneTopology, build_weights
 
 from oracles import draw_prior, log_joint
 
@@ -181,14 +180,22 @@ def chains_on(W, y, design, seed=0):
     rng = np.random.default_rng(seed)
     n, p = design.matrix.shape
     y = np.stack([y, y]).astype(float)
-    target = _Target(y, [design.matrix] * 2, None, _prepare_spatial(W, n), ModelSpec(),
-                     design.labels)
+    target = _Target(y, [design.matrix] * 2, None, W, ModelSpec(), design.labels)
     phi = rng.normal(0.3, 0.5, size=(2, n))
     phi[:, target.inactive] = 0.0
     state = _State(rng.normal(0.5, 0.1, size=(2, p)), rng.normal(0.0, 0.2, size=(2, n)),
                    phi, np.full(2, 0.1), np.ones(2))
     _refresh(state, target)
     return target, state
+
+
+def lane_weights():
+    """Lane-count weights in which the zero-lane pairs drop out: zones 0-2 a
+    path, 3-5 a triangle, 6-8 a path and zone 9 an island."""
+    return build_weights(ZoneTopology(10, (
+        (0, 1, 1.0, 2), (1, 2, 0.5, 3), (2, 3, 1.0, 0), (3, 4, 1.0, 1), (4, 5, 2.0, 4),
+        (3, 5, 1.5, 2), (5, 6, 1.0, 0), (6, 7, 1.0, 2), (7, 8, 0.8, 6), (8, 9, 1.0, 0),
+        (0, 9, 1.2, 0))), LANE_COUNT)
 
 
 def island_weights():
@@ -416,8 +423,7 @@ def test_exchange_move_keeps_the_prior():
 
     rows = 16000
     beta, theta, phi, sigma2, tau, y = draw(rows)
-    target = _Target(y.astype(float), [X] * rows, None, _prepare_spatial(W, 6), small_spec(),
-                     SMALL_LABELS)
+    target = _Target(y.astype(float), [X] * rows, None, W, small_spec(), SMALL_LABELS)
     assert target.exchange
     state = _State(beta, theta, phi, sigma2, tau)
     _refresh(state, target)
@@ -453,7 +459,6 @@ def geweke_scores(include_phi, chains=64, sweeps=2300, burn=300, seed=2004):
     beta0, beta1, log sigma2, theta0 and, with phi, log tau and phi0."""
     W, X, labels, prior = SMALL_W, SMALL_X, SMALL_LABELS, SMALL_PRIOR
     spec = small_spec(include_phi)
-    spatial = _prepare_spatial(W, 6) if include_phi else None
     rng = np.random.default_rng(seed)
 
     def draw(count):
@@ -485,7 +490,8 @@ def geweke_scores(include_phi, chains=64, sweeps=2300, burn=300, seed=2004):
              "scale": np.full((chains, 2), 0.5)}
     got = []
     for sweep in range(sweeps):
-        target = _Target(y.astype(float), [X] * chains, None, spatial, spec, labels)
+        target = _Target(y.astype(float), [X] * chains, None, W if include_phi else None, spec,
+                         labels)
         _refresh(state, target)
         z = rng.standard_normal((chains, target.normals[1]))
         u = rng.random((chains, target.uniforms[1]))
@@ -609,13 +615,13 @@ class TestFit:
         topology = generate_lattice(lattice)
         records, _ = simulate_dataset(topology, seed=42)
         design, y = build_design(records), crash_counts(records).astype(float)
-        n, p = design.matrix.shape
+        p = design.matrix.shape[1]
         seeds = np.random.SeedSequence(3).spawn(5)
         config = McmcConfig(chains=2, burn_in=40, iters=40)
 
         def run(k):
             return _run_chains(seeds[:k], np.tile(y, (k, 1)), [design.matrix] * k, None,
-                               _prepare_spatial(build_weights(topology), n), ModelSpec(), config,
+                               build_weights(topology), ModelSpec(), config,
                                np.zeros((k, p)), np.full((k, p), 0.1), design.labels)
 
         two, five = run(2), run(5)
@@ -729,8 +735,8 @@ class TestFit:
 # sha256 of fit(...).to_json() for small fixed-seed fits, recorded when
 # theta's scaling move began to trade theta for phi on connected graphs
 # (theta_only and island_two_components kept their digests: the move does
-# not reach them).  A
-# refactor must leave them as they are; a change that deliberately alters
+# not reach them; lane_count_components was recorded later on that sampler).
+# A refactor must leave them as they are; a change that deliberately alters
 # the random stream (a new proposal or block) re-records them and says so in
 # CHANGES.md.
 PINNED_REPORTS = {
@@ -739,6 +745,7 @@ PINNED_REPORTS = {
     "fixed_tau_c": "c89fcdad7e56ec7063ecc61efe0fbc0f113af788e6feb4e38a499034fc14e1ff",
     "island_two_components": "3c9e7674cca3b5b6c07d918579e7bdfd901dff2d598c77c69e33c7c465b83377",
     "clamped": "cb2c31eaa50d890d4db9c02377823c15bf1ae4d1d0ace8cb5e7d90294b6a2f6b",
+    "lane_count_components": "4911d0062943f6eaf0213ec2af619d34bc8f72fd375c6e2c5ca43644f602da55",
     "batch_0": "5abdfec38b6b73f0865cfb11d8ff17ec681f0ba84cd92e55a2fd90a9b8cacad1",
     "batch_1": "e89839c085f5508936be4dd1e67953f5e00d6dbb7240ad59bb9bec194212f385",
 }
@@ -759,12 +766,18 @@ def test_fixed_seed_reports_are_pinned(small_sim):
             DesignMatrix(matrix=np.ones((7, 1)), labels=("intercept",)), island_weights(),
             ModelSpec(), config),
         "clamped": fit(hot, design, W, ModelSpec(), config),
+        "lane_count_components": fit(
+            np.array([3, 5, 4, 8, 6, 7, 2, 4, 9, 1]),
+            DesignMatrix(matrix=np.column_stack([np.ones(10), np.linspace(-1.0, 1.0, 10)]),
+                         labels=("intercept", "x")), lane_weights(), ModelSpec(), config),
     }
     batch = fit_batch([(y, design), (crash_counts(other), build_design(other))], W,
                       ModelSpec(), [config, replace(config, seed=6)])
     reports.update(batch_0=batch[0], batch_1=batch[1])
     assert reports["clamped"].clamp_events > 0
     assert reports["island_two_components"].island_count == 1
+    lanes = reports["lane_count_components"]
+    assert (lanes.component_count, lanes.island_count) == (4, 1)
     digests = {name: hashlib.sha256(rep.to_json().encode()).hexdigest()
                for name, rep in reports.items()}
     assert digests == PINNED_REPORTS

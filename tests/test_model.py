@@ -7,7 +7,7 @@ from scipy.special import gammaln
 
 from tazcar.errors import DomainError, ValidationError
 from tazcar.dataset import DesignMatrix
-from tazcar.mcmc import McmcConfig, _prepare_spatial, _refresh, _State, _Target, fit
+from tazcar.mcmc import McmcConfig, _refresh, _State, _Target, fit
 from tazcar.model import (
     GammaPrior,
     ModelSpec,
@@ -50,11 +50,10 @@ def refreshed(beta, theta, phi, design):
 def car_means(phi, W):
     """CAR conditional means from the sampler's padded neighbour tables;
     zones in no coloring class (islands) come back as NaN."""
-    spatial = _prepare_spatial(W, W.zone_count)
     out = np.full(W.zone_count, np.nan)
-    for members, nbr, weight in spatial["classes"]:
+    for members, nbr, weight in W.coloring:
         rows = np.asarray(phi, dtype=float)[None]
-        out[members] = _car_mean(rows, nbr, weight, spatial["wplus"][members])[0]
+        out[members] = _car_mean(rows, nbr, weight, W.row_sums[members])[0]
     return out
 
 

@@ -17,7 +17,7 @@ from tazcar.synth import (
     sample_icar,
     simulate_dataset,
 )
-from tazcar.weights import ADJACENCY, ZoneTopology, build_weights, row_sums
+from tazcar.weights import ADJACENCY, ZoneTopology, build_weights
 
 
 def zero_truth(mean=5.0):
@@ -31,11 +31,11 @@ class TestGenerateLattice:
     def test_two_by_two(self):
         topology = generate_lattice(2)
         assert topology.zone_count == 4
-        sums = row_sums(build_weights(topology, ADJACENCY))
+        sums = build_weights(topology, ADJACENCY).row_sums
         assert sums.tolist() == [2.0, 2.0, 2.0, 2.0]
 
     def test_three_by_three_center(self):
-        sums = row_sums(build_weights(generate_lattice(3), ADJACENCY))
+        sums = build_weights(generate_lattice(3), ADJACENCY).row_sums
         assert sums[4] == 4.0
         assert sorted(sums.tolist()).count(2.0) == 4  # corners
 
@@ -125,7 +125,7 @@ class TestSampleIcar:
         # iid values would give E(phi_i - phi_j)^2 = 2 var(phi) over edges;
         # the spatial draw must sit clearly below that
         W = build_weights(generate_lattice(6), ADJACENCY)
-        ii, jj, _ = W.neighbor_arrays()
+        ii, jj, _ = W.edges
         ratios = []
         for seed in range(6):
             phi = sample_icar(W, 2.0, np.random.default_rng(seed), sweeps=60)

@@ -12,13 +12,13 @@ from tazcar.weights import (
     ProximityMatrix,
     ZoneTopology,
     build_weights,
-    connected_components,
     read_topology,
     read_weight_matrix,
-    row_sums,
     write_topology,
     write_weight_matrix,
 )
+
+from oracles import union_find_components
 
 
 def chain_topology():
@@ -80,38 +80,33 @@ class TestBuildWeights:
 class TestRowSums:
     def test_chain_adjacency(self):
         m = build_weights(chain_topology(), ADJACENCY)
-        assert row_sums(m).tolist() == [1.0, 2.0, 1.0]
+        assert m.row_sums.tolist() == [1.0, 2.0, 1.0]
 
     def test_boundary_chain(self):
         m = build_weights(chain_topology(), BOUNDARY_LENGTH)
-        assert row_sums(m).tolist() == [2.5, 4.0, 1.5]
+        assert m.row_sums.tolist() == [2.5, 4.0, 1.5]
 
     def test_all_isolated(self):
         m = ProximityMatrix(zone_count=3, mode=ADJACENCY, triples=())
-        assert row_sums(m).tolist() == [0.0, 0.0, 0.0]
+        assert m.row_sums.tolist() == [0.0, 0.0, 0.0]
         assert m.has_islands
         assert m.islands == [0, 1, 2]
-
-    def test_dense_input(self):
-        assert row_sums(np.array([[0.0, 2.0], [2.0, 0.0]])).tolist() == [2.0, 2.0]
 
 
 class TestConnectedComponents:
     def test_chain_single_component(self):
-        labels, g = connected_components(build_weights(chain_topology()))
-        assert g == 1
-        assert len(set(labels.tolist())) == 1
+        m = build_weights(chain_topology())
+        assert m.component_count == 1
+        assert len(set(m.component_labels.tolist())) == 1
 
     def test_two_disjoint_pairs(self):
         t = ZoneTopology(4, ((0, 1, 1.0, 2), (2, 3, 1.0, 2)))
-        _, g = connected_components(build_weights(t))
-        assert g == 2
+        assert build_weights(t).component_count == 2
 
     def test_island_among_connected(self):
         t = ZoneTopology(4, ((0, 1, 1.0, 2), (1, 2, 1.0, 2)))
         m = build_weights(t)
-        labels, g = connected_components(m)
-        assert g == 2
+        assert m.component_count == 2
         assert m.islands == [3]
 
 
@@ -165,6 +160,39 @@ class TestProperties:
         m2 = build_weights(scaled, BOUNDARY_LENGTH)
         np.testing.assert_allclose(m2.to_dense(), m1.to_dense() * c, rtol=1e-12)
         np.testing.assert_allclose(m2.row_sums, m1.row_sums * c, rtol=1e-12)
+
+
+@st.composite
+def weight_triples(draw):
+    """Random upper-triangle triples in which zero weights and islands are common."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=14, unique_by=lambda p: (min(p), max(p))))
+    triples = tuple((min(i, j), max(i, j), draw(st.sampled_from([0.0, 0.5, 1.0, 2.5])))
+                    for i, j in pairs if i != j)
+    return n, triples
+
+
+class TestDerivedGraph:
+    @settings(max_examples=200, deadline=None)
+    @given(weight_triples())
+    def test_components_and_coloring(self, case):
+        n, triples = case
+        m = ProximityMatrix(zone_count=n, mode=ADJACENCY, triples=triples)
+        labels, count = union_find_components(n, triples)
+        np.testing.assert_array_equal(m.component_labels, labels)
+        assert m.component_count == count
+        # The colouring classes are independent sets that together hold each
+        # zone with neighbours once, and their padded tables give W's rows.
+        dense = m.to_dense()
+        members = [c[0] for c in m.coloring]
+        members = np.concatenate(members) if members else np.zeros(0, dtype=int)
+        np.testing.assert_array_equal(np.sort(members), np.flatnonzero(m.row_sums > 0))
+        for zones, nbr, weight in m.coloring:
+            assert not dense[np.ix_(zones, zones)].any()
+            rows = np.zeros((len(zones), n))
+            np.add.at(rows, (np.broadcast_to(np.arange(len(zones)), nbr.shape), nbr), weight)
+            np.testing.assert_array_equal(rows, dense[zones])
 
 
 class TestFiles:
